@@ -1,24 +1,19 @@
-"""Experiment P3 (extension): compiled CSR kernel vs the pruned fast core.
+"""Experiment P3 (extension): the compiled CSR kernel, timed and sized.
 
 Measures the integer-interned CSR traversal kernels
-(:mod:`repro.graph.csr`) against the TupleId-based pruned core
-(:mod:`repro.graph.fast_traversal`) on a planted synthetic workload:
+(:mod:`repro.graph.csr`) on a planted synthetic workload:
 
-* **batch enumeration** — drain every simple path (to a depth bound)
-  over a pair workload and every joining tree over a required-set
-  workload; both cores answer from warm caches, so the comparison is
-  pure kernel time (the differential tests prove the outputs
-  bit-identical).  The combined wall-clock ratio is the gate (>= 3x).
+* **identity** — every simple path (to a depth bound) over a pair
+  workload and every joining tree over a required-set workload must
+  equal the brute-force reference kernels' output, order included.
+* **batch enumeration** — drain the same workloads from warm caches
+  (pure kernel time), reported in ms.
 * **top-k style enumeration** — consume only the first ``k`` items of
   each enumeration (the executor's pushdown consumption pattern), where
   per-call setup (distance rows, visited scratch) weighs more than
   steady-state throughput.
-* **engine level** — ``search_batch`` and ``search(top_k=...)`` through
-  engines differing only in ``core=``; reported for context (answer
-  construction and ranking are shared overhead, so the ratio is
-  naturally smaller than the kernel-level one).
 * **memory footprint** — the compiled graph's flat arrays, reported in
-  bytes and bytes/edge.
+  bytes and bytes/entry.
 * **vector backend (P6)** — multi-source distance blocks and component
   labelling on a large synthetic graph, vectorized numpy backend vs the
   scalar csr core (``vector=False``), bit-identity asserted first; the
@@ -26,6 +21,9 @@ Measures the integer-interned CSR traversal kernels
   failing) when numpy is unavailable so the no-numpy CI leg stays
   green.  Footprint deltas between the two backends are reported —
   ~zero is the point: the numpy views are zero-copy.
+
+CSR speed against the reference core is gated end to end by
+``bench_workload_throughput.py`` (>= 2x).
 
 Run standalone::
 
@@ -43,30 +41,15 @@ from itertools import islice
 
 import pytest
 
-from repro.core.engine import KeywordSearchEngine
-from repro.core.search import SearchLimits
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like
-from repro.datasets.workload import WorkloadConfig, generate_workload
 from repro.graph.csr import (
     FrozenGraph,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
 )
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import (
-    TraversalCache,
-    fast_enumerate_joining_trees,
-    fast_enumerate_simple_paths,
-)
-
-_PATH_KERNELS = {
-    "fast": fast_enumerate_simple_paths,
-    "csr": csr_enumerate_simple_paths,
-}
-_TREE_KERNELS = {
-    "fast": fast_enumerate_joining_trees,
-    "csr": csr_enumerate_joining_trees,
-}
+from repro.graph.traversal import enumerate_joining_trees, enumerate_simple_paths
+from repro.graph.traversal_cache import TraversalCache
 
 
 def _database(departments=12, employees=12, works_on=4):
@@ -98,35 +81,45 @@ def _workloads(graph, pairs=50, combos=8):
     return pair_workload, combo_workload
 
 
-def _drain_paths(kernel, graph, pairs, depth, cache):
+def _drain_paths(graph, pairs, depth, cache):
     produced = 0
     for source, target in pairs:
-        for __ in kernel(graph, source, target, depth, cache=cache):
+        for __ in csr_enumerate_simple_paths(
+            graph, source, target, depth, cache=cache
+        ):
             produced += 1
     return produced
 
 
-def _drain_trees(kernel, graph, combos, max_tuples, cache):
+def _drain_trees(graph, combos, max_tuples, cache):
     produced = 0
     for combo in combos:
-        for __ in kernel(graph, list(combo), max_tuples, cache=cache):
+        for __ in csr_enumerate_joining_trees(
+            graph, list(combo), max_tuples, cache=cache
+        ):
             produced += 1
     return produced
 
 
-def _topk_paths(kernel, graph, pairs, depth, cache, k):
+def _topk_paths(graph, pairs, depth, cache, k):
     produced = 0
     for source, target in pairs:
-        for __ in islice(kernel(graph, source, target, depth, cache=cache), k):
+        for __ in islice(
+            csr_enumerate_simple_paths(graph, source, target, depth, cache=cache),
+            k,
+        ):
             produced += 1
     return produced
 
 
-def _topk_trees(kernel, graph, combos, max_tuples, cache, k):
+def _topk_trees(graph, combos, max_tuples, cache, k):
     produced = 0
     for combo in combos:
         for __ in islice(
-            kernel(graph, list(combo), max_tuples, cache=cache), k
+            csr_enumerate_joining_trees(
+                graph, list(combo), max_tuples, cache=cache
+            ),
+            k,
         ):
             produced += 1
     return produced
@@ -149,30 +142,26 @@ def _best(callable_, rounds):
 def kernel_setup():
     graph = DataGraph(_database())
     pairs, combos = _workloads(graph)
-    caches = {"fast": TraversalCache(graph), "csr": TraversalCache(graph)}
-    caches["csr"].frozen()
-    return graph, pairs, combos, caches
+    cache = TraversalCache(graph)
+    cache.frozen()
+    return graph, pairs, combos, cache
 
 
-@pytest.mark.parametrize("core", ["csr", "fast"])
-def test_path_enumeration(benchmark, kernel_setup, core):
-    graph, pairs, __, caches = kernel_setup
+def test_path_enumeration(benchmark, kernel_setup):
+    graph, pairs, __, cache = kernel_setup
     benchmark.group = "P3 path enumeration"
-    benchmark.name = core
-    kernel, cache = _PATH_KERNELS[core], caches[core]
-    _drain_paths(kernel, graph, pairs, 6, cache)  # warm caches
-    produced = benchmark(lambda: _drain_paths(kernel, graph, pairs, 6, cache))
+    benchmark.name = "csr"
+    _drain_paths(graph, pairs, 6, cache)  # warm caches
+    produced = benchmark(lambda: _drain_paths(graph, pairs, 6, cache))
     assert produced > 0
 
 
-@pytest.mark.parametrize("core", ["csr", "fast"])
-def test_tree_enumeration(benchmark, kernel_setup, core):
-    graph, __, combos, caches = kernel_setup
+def test_tree_enumeration(benchmark, kernel_setup):
+    graph, __, combos, cache = kernel_setup
     benchmark.group = "P3 tree enumeration"
-    benchmark.name = core
-    kernel, cache = _TREE_KERNELS[core], caches[core]
-    _drain_trees(kernel, graph, combos, 6, cache)
-    produced = benchmark(lambda: _drain_trees(kernel, graph, combos, 6, cache))
+    benchmark.name = "csr"
+    _drain_trees(graph, combos, 6, cache)
+    produced = benchmark(lambda: _drain_trees(graph, combos, 6, cache))
     assert produced > 0
 
 
@@ -180,54 +169,49 @@ def test_tree_enumeration(benchmark, kernel_setup, core):
 # standalone report (CI smoke runs this with --quick)
 # ----------------------------------------------------------------------
 def _kernel_section(graph, pairs, combos, depth, max_tuples, rounds, out):
-    caches = {"fast": TraversalCache(graph), "csr": TraversalCache(graph)}
-    caches["csr"].frozen()
-    counts = {}
-    batch = {}
-    topk = {}
-    for core in ("fast", "csr"):
-        path_kernel, tree_kernel = _PATH_KERNELS[core], _TREE_KERNELS[core]
-        cache = caches[core]
-        counts[core] = (
-            _drain_paths(path_kernel, graph, pairs, depth, cache),
-            _drain_trees(tree_kernel, graph, combos, max_tuples, cache),
-        )
-        batch[core] = (
-            _best(lambda: _drain_paths(path_kernel, graph, pairs, depth, cache),
-                  rounds),
-            _best(lambda: _drain_trees(tree_kernel, graph, combos, max_tuples,
-                                       cache), rounds),
-        )
-        topk[core] = (
-            _best(lambda: _topk_paths(path_kernel, graph, pairs, depth, cache,
-                                      3), rounds),
-            _best(lambda: _topk_trees(tree_kernel, graph, combos, max_tuples,
-                                      cache, 3), rounds),
-        )
-    assert counts["fast"] == counts["csr"], "cores enumerated different answers"
-    paths, trees = counts["csr"]
-
-    def report(label, times):
-        fast_s = sum(times["fast"])
-        csr_s = sum(times["csr"])
-        ratio = fast_s / max(csr_s, 1e-9)
-        print(f"  {label:18} fast {fast_s * 1e3:8.2f} ms   "
-              f"csr {csr_s * 1e3:8.2f} ms   speedup {ratio:.1f}x", file=out)
-        for kind, index in (("paths", 0), ("trees", 1)):
-            kind_ratio = times["fast"][index] / max(times["csr"][index], 1e-9)
-            print(f"    {kind:8} fast {times['fast'][index] * 1e3:8.2f} ms   "
-                  f"csr {times['csr'][index] * 1e3:8.2f} ms   "
-                  f"speedup {kind_ratio:.1f}x", file=out)
-        return ratio
-
+    """Time the csr kernels after checking them against the reference;
+    returns the compiled graph for the footprint report."""
+    cache = TraversalCache(graph)
+    csr_paths = [
+        list(csr_enumerate_simple_paths(graph, source, target, depth,
+                                        cache=cache))
+        for source, target in pairs
+    ]
+    csr_trees = [
+        list(csr_enumerate_joining_trees(graph, list(combo), max_tuples,
+                                         cache=cache))
+        for combo in combos
+    ]
+    assert csr_paths == [
+        list(enumerate_simple_paths(graph, source, target, depth))
+        for source, target in pairs
+    ], "csr paths diverged from the reference kernel"
+    assert csr_trees == [
+        list(enumerate_joining_trees(graph, list(combo), max_tuples))
+        for combo in combos
+    ], "csr trees diverged from the reference kernel"
+    batch = (
+        _best(lambda: _drain_paths(graph, pairs, depth, cache), rounds),
+        _best(lambda: _drain_trees(graph, combos, max_tuples, cache), rounds),
+    )
+    topk = (
+        _best(lambda: _topk_paths(graph, pairs, depth, cache, 3), rounds),
+        _best(lambda: _topk_trees(graph, combos, max_tuples, cache, 3), rounds),
+    )
+    paths = sum(len(found) for found in csr_paths)
+    trees = sum(len(found) for found in csr_trees)
     print(f"kernel workload: {graph.number_of_nodes()} tuples, "
           f"{graph.number_of_edges()} edges, {len(pairs)} pairs "
           f"(depth {depth}), {len(combos)} required sets "
           f"(max {max_tuples} tuples) -> {paths} paths, {trees} trees",
           file=out)
-    batch_ratio = report("batch (drain)", batch)
-    topk_ratio = report("top-k (islice 3)", topk)
-    return batch_ratio, topk_ratio, caches["csr"].frozen()
+    for label, (paths_s, trees_s) in (("batch (drain)", batch),
+                                      ("top-k (islice 3)", topk)):
+        print(f"  {label:18} csr {(paths_s + trees_s) * 1e3:8.2f} ms   "
+              f"(paths {paths_s * 1e3:.2f} ms, trees {trees_s * 1e3:.2f} ms)",
+              file=out)
+    print("  answers identical to the reference kernels", file=out)
+    return cache.frozen()
 
 
 def _vector_section(rounds, out, sources_wanted=128):
@@ -300,54 +284,6 @@ def _vector_section(rounds, out, sources_wanted=128):
     return combined
 
 
-def _engine_section(database, rounds, out):
-    texts = [
-        query.text
-        for query in generate_workload(
-            database,
-            WorkloadConfig(queries=6, keywords_per_query=2,
-                           matches_per_keyword=3, seed=13),
-        )
-    ]
-    limits = SearchLimits(max_rdb_length=5)
-    engines = {
-        core: KeywordSearchEngine(database, core=core, result_cache_entries=0)
-        for core in ("fast", "csr")
-    }
-    rendered = {
-        core: [
-            [(r.render(), r.score) for r in results]
-            for results in engine.search_batch(texts, limits=limits)
-        ]
-        for core, engine in engines.items()
-    }
-    identical = rendered["fast"] == rendered["csr"]
-    batch = {
-        core: _best(lambda e=engine: e.search_batch(texts, limits=limits),
-                    rounds)
-        for core, engine in engines.items()
-    }
-    topk = {
-        core: _best(
-            lambda e=engine: [
-                e.search(text, limits=limits, top_k=3) for text in texts
-            ],
-            rounds,
-        )
-        for core, engine in engines.items()
-    }
-    print(f"engine level ({database.count()} tuples, {len(texts)} queries):",
-          file=out)
-    print(f"  search_batch       fast {batch['fast'] * 1e3:8.2f} ms   "
-          f"csr {batch['csr'] * 1e3:8.2f} ms   "
-          f"speedup {batch['fast'] / max(batch['csr'], 1e-9):.1f}x", file=out)
-    print(f"  search top-3       fast {topk['fast'] * 1e3:8.2f} ms   "
-          f"csr {topk['csr'] * 1e3:8.2f} ms   "
-          f"speedup {topk['fast'] / max(topk['csr'], 1e-9):.1f}x", file=out)
-    print(f"  identical results: {identical}", file=out)
-    return identical
-
-
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -357,23 +293,12 @@ def main(argv=None, out=None) -> int:
 
     rounds = 3 if args.quick else 5
     depth = 6 if args.quick else 7
-    database = _database()
-    graph = DataGraph(database)
+    graph = DataGraph(_database())
     pairs, combos = _workloads(graph, pairs=40 if args.quick else 60,
                                combos=6 if args.quick else 10)
 
     failures = []
-    batch_ratio, topk_ratio, frozen = _kernel_section(
-        graph, pairs, combos, depth, 6, rounds, out
-    )
-    if batch_ratio < 3.0:
-        failures.append(
-            f"kernel: batch speedup {batch_ratio:.1f}x < 3x over the fast core"
-        )
-    if topk_ratio < 1.0:
-        failures.append(
-            f"kernel: top-k speedup {topk_ratio:.1f}x regressed below 1x"
-        )
+    frozen = _kernel_section(graph, pairs, combos, depth, 6, rounds, out)
 
     footprint = frozen.memory_footprint()
     per_edge = footprint["total"] / max(1, len(frozen._targets))
@@ -390,10 +315,6 @@ def main(argv=None, out=None) -> int:
             f"scalar csr core"
         )
 
-    identical = _engine_section(database, rounds, out)
-    if not identical:
-        failures.append("engine: csr answers diverged from the fast core")
-
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=out)
@@ -403,9 +324,8 @@ def main(argv=None, out=None) -> int:
         if vector_ratio is not None
         else "vector gate skipped (stdlib backend)"
     )
-    print(f"OK: kernel batch speedup {batch_ratio:.1f}x >= 3x, "
-          f"top-k {topk_ratio:.1f}x, {vector_note}, "
-          f"answers bit-identical", file=out)
+    print(f"OK: {vector_note}, csr enumeration identical to the reference",
+          file=out)
     return 0
 
 

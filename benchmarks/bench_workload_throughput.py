@@ -1,18 +1,19 @@
-"""Experiment S4 (extension): workload throughput — pruned traversal vs networkx.
+"""Experiment S4 (extension): workload throughput — csr core vs networkx.
 
 Measures the engine's traversal core on the two datasets the differential
 tests cover:
 
-* **single-query latency** — one ``engine.search`` call, fast path vs the
-  brute-force networkx traversal (``use_fast_traversal=False``), on the
-  paper's company instance and on a planted synthetic database;
+* **single-query latency** — one ``engine.search`` call, the default
+  ``csr`` core vs the brute-force networkx traversal
+  (``core="reference"``), on the paper's company instance and on a
+  planted synthetic database;
 * **batch throughput** — ``engine.search_batch`` over a generated workload
   (repeated queries included, as served traffic would have) vs a
   query-at-a-time loop through the brute-force engine.
 
 Both modes must return identical answers (asserted here and in
-``tests/graph/test_fast_traversal.py``); the fast path is expected to be
-at least 2x faster on the synthetic workload.
+``tests/graph/test_csr.py``); the csr core is expected to be at least
+2x faster on the synthetic workload.
 
 Run standalone::
 
@@ -73,7 +74,7 @@ def company_pair():
     database = build_company_database()
     return (
         KeywordSearchEngine(database, result_cache_entries=0),
-        KeywordSearchEngine(database, use_fast_traversal=False,
+        KeywordSearchEngine(database, core="reference",
                             result_cache_entries=0),
     )
 
@@ -84,32 +85,32 @@ def synthetic_setup():
     texts = _workload(database)
     return (
         KeywordSearchEngine(database, result_cache_entries=0),
-        KeywordSearchEngine(database, use_fast_traversal=False,
+        KeywordSearchEngine(database, core="reference",
                             result_cache_entries=0),
         texts,
     )
 
 
-@pytest.mark.parametrize("mode", ["fast", "networkx"])
+@pytest.mark.parametrize("mode", ["csr", "networkx"])
 def test_company_single_query(benchmark, company_pair, mode):
-    fast, slow = company_pair
-    engine = fast if mode == "fast" else slow
+    csr, reference = company_pair
+    engine = csr if mode == "csr" else reference
     benchmark.group = "S4 company single query"
     benchmark.name = mode
     results = benchmark(
         lambda: engine.search("Smith XML", limits=_COMPANY_LIMITS)
     )
     assert _rendered(results) == _rendered(
-        (slow if mode == "fast" else fast).search(
+        (reference if mode == "csr" else csr).search(
             "Smith XML", limits=_COMPANY_LIMITS
         )
     )
 
 
-@pytest.mark.parametrize("mode", ["fast", "networkx"])
+@pytest.mark.parametrize("mode", ["csr", "networkx"])
 def test_synthetic_single_query(benchmark, synthetic_setup, mode):
-    fast, slow, texts = synthetic_setup
-    engine = fast if mode == "fast" else slow
+    csr, reference, texts = synthetic_setup
+    engine = csr if mode == "csr" else reference
     benchmark.group = "S4 synthetic single query"
     benchmark.name = mode
     results = benchmark(
@@ -118,18 +119,19 @@ def test_synthetic_single_query(benchmark, synthetic_setup, mode):
     assert results is not None
 
 
-@pytest.mark.parametrize("mode", ["fast", "networkx"])
+@pytest.mark.parametrize("mode", ["csr", "networkx"])
 def test_synthetic_batch_throughput(benchmark, synthetic_setup, mode):
-    fast, slow, texts = synthetic_setup
+    csr, reference, texts = synthetic_setup
     benchmark.group = "S4 synthetic batch"
     benchmark.name = mode
-    if mode == "fast":
+    if mode == "csr":
         batched = benchmark(
-            lambda: fast.search_batch(texts, limits=_SYNTHETIC_LIMITS)
+            lambda: csr.search_batch(texts, limits=_SYNTHETIC_LIMITS)
         )
     else:
         batched = benchmark(
-            lambda: [slow.search(text, limits=_SYNTHETIC_LIMITS) for text in texts]
+            lambda: [reference.search(text, limits=_SYNTHETIC_LIMITS)
+                     for text in texts]
         )
     assert len(batched) == len(texts)
 
@@ -148,32 +150,35 @@ def _time(callable_, rounds: int) -> float:
 
 
 def _report_dataset(name, database, texts, limits, rounds, out):
-    fast = KeywordSearchEngine(database, result_cache_entries=0)
-    slow = KeywordSearchEngine(database, use_fast_traversal=False,
-                               result_cache_entries=0)
+    csr = KeywordSearchEngine(database, result_cache_entries=0)
+    reference = KeywordSearchEngine(database, core="reference",
+                                    result_cache_entries=0)
 
-    batched_fast = fast.search_batch(texts, limits=limits)
-    batched_slow = [slow.search(text, limits=limits) for text in texts]
-    for fast_results, slow_results in zip(batched_fast, batched_slow):
-        assert _rendered(fast_results) == _rendered(slow_results), (
-            "fast and networkx answers diverged"
+    batched_csr = csr.search_batch(texts, limits=limits)
+    batched_reference = [reference.search(text, limits=limits) for text in texts]
+    for csr_results, reference_results in zip(batched_csr, batched_reference):
+        assert _rendered(csr_results) == _rendered(reference_results), (
+            "csr and networkx answers diverged"
         )
 
-    single_fast = _time(lambda: fast.search(texts[0], limits=limits), rounds)
-    single_slow = _time(lambda: slow.search(texts[0], limits=limits), rounds)
-    batch_fast = _time(lambda: fast.search_batch(texts, limits=limits), rounds)
-    batch_slow = _time(
-        lambda: [slow.search(text, limits=limits) for text in texts], rounds
+    single_csr = _time(lambda: csr.search(texts[0], limits=limits), rounds)
+    single_reference = _time(
+        lambda: reference.search(texts[0], limits=limits), rounds
+    )
+    batch_csr = _time(lambda: csr.search_batch(texts, limits=limits), rounds)
+    batch_reference = _time(
+        lambda: [reference.search(text, limits=limits) for text in texts],
+        rounds,
     )
 
-    throughput = len(texts) / batch_fast
-    speedup = batch_slow / batch_fast
+    throughput = len(texts) / batch_csr
+    speedup = batch_reference / batch_csr
     print(f"{name}: {database.count()} tuples, {len(texts)} queries", file=out)
-    print(f"  single query   fast {single_fast * 1e3:8.2f} ms   "
-          f"networkx {single_slow * 1e3:8.2f} ms   "
-          f"speedup {single_slow / single_fast:5.1f}x", file=out)
-    print(f"  batch          fast {batch_fast * 1e3:8.2f} ms   "
-          f"networkx {batch_slow * 1e3:8.2f} ms   "
+    print(f"  single query   csr {single_csr * 1e3:8.2f} ms   "
+          f"networkx {single_reference * 1e3:8.2f} ms   "
+          f"speedup {single_reference / single_csr:5.1f}x", file=out)
+    print(f"  batch          csr {batch_csr * 1e3:8.2f} ms   "
+          f"networkx {batch_reference * 1e3:8.2f} ms   "
           f"speedup {speedup:5.1f}x   "
           f"({throughput:,.0f} queries/s)", file=out)
     return speedup

@@ -49,7 +49,7 @@ from repro.datasets.company import (
     build_company_schema,
 )
 from repro.er.cardinality import Cardinality
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 from repro.live.changes import ChangeSet, Delete, Insert, Update
 from repro.live.result_cache import ResultCache
 from repro.relational.database import Database

@@ -52,7 +52,7 @@ from repro.durable import fault
 from repro.errors import MutationError, QueryError, WalError
 from repro.graph.csr import resolve_core
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 from repro.live.changes import (
     ChangeSet,
     Mutation,
@@ -80,7 +80,6 @@ class KeywordSearchEngine:
         database: Database,
         ranker: Optional[Ranker] = None,
         limits: SearchLimits = SearchLimits(),
-        use_fast_traversal: bool = True,
         result_cache_entries: int = 256,
         core: Optional[str] = None,
         shards: Optional[int] = None,
@@ -94,7 +93,6 @@ class KeywordSearchEngine:
             traversal_cache=None,
             ranker=ranker,
             limits=limits,
-            use_fast_traversal=use_fast_traversal,
             result_cache_entries=result_cache_entries,
             core=core,
             shards=shards,
@@ -112,7 +110,6 @@ class KeywordSearchEngine:
         traversal_cache: Optional[TraversalCache],
         ranker: Optional[Ranker],
         limits: SearchLimits,
-        use_fast_traversal: bool,
         result_cache_entries: int,
         core: Optional[str],
         shards: Optional[int],
@@ -127,13 +124,9 @@ class KeywordSearchEngine:
         self.ranker = ranker or ClosenessRanker()
         self.limits = limits
         #: Traversal kernel every query runs on: ``csr`` (compiled
-        #: integer kernels, the default), ``fast`` (pruned TupleId
-        #: core) or ``reference`` (brute-force networkx) — answers are
-        #: bit-identical across all three.  ``use_fast_traversal`` is
-        #: the legacy boolean spelling (``False`` → ``reference``);
-        #: ``core`` wins when both are given.
-        self.core = resolve_core(use_fast_traversal, core)
-        self.use_fast_traversal = self.core != "reference"
+        #: integer kernels, the default) or ``reference`` (brute-force
+        #: networkx oracle) — answers are bit-identical across both.
+        self.core = resolve_core(core)
         #: Vector-backend override for the compiled CSR kernels:
         #: ``None`` uses the import-time default (numpy when available),
         #: ``False`` forces the pure-stdlib fallback, ``True`` demands
@@ -220,7 +213,6 @@ class KeywordSearchEngine:
         traversal_cache: TraversalCache,
         ranker: Optional[Ranker] = None,
         limits: SearchLimits = SearchLimits(),
-        use_fast_traversal: bool = True,
         result_cache_entries: int = 256,
         core: Optional[str] = None,
         shards: Optional[int] = None,
@@ -237,7 +229,6 @@ class KeywordSearchEngine:
             traversal_cache=traversal_cache,
             ranker=ranker,
             limits=limits,
-            use_fast_traversal=use_fast_traversal,
             result_cache_entries=result_cache_entries,
             core=core,
             shards=shards,
@@ -662,12 +653,13 @@ class KeywordSearchEngine:
         Each query is answered exactly as :meth:`search` would — the win
         is amortisation, not approximation, on three levels: all queries
         share the engine's
-        :class:`~repro.graph.fast_traversal.TraversalCache` (adjacency
-        and distance maps survive across queries); identical enumeration
-        sub-plans — the same (source, target) tuple pair or the same
-        required tuple set under the same limits — are executed once per
-        batch and their streams fanned out to every query that contains
-        them, even across different query texts; and a query text
+        :class:`~repro.graph.traversal_cache.TraversalCache` (the
+        compiled graph and its distance rows survive across queries);
+        identical enumeration sub-plans — the same (source, target)
+        tuple pair or the same required tuple set under the same limits
+        — are executed once per batch and their streams fanned out to
+        every query that contains them, even across different query
+        texts; and a query text
         appearing several times is searched once with its result list
         reused.
 

@@ -31,7 +31,7 @@ bounds monotone.
 
 **Plan sharing.**  All enumeration goes through a
 :class:`SharedEnumerations` table of
-:class:`~repro.graph.fast_traversal.SharedStream` objects keyed by the
+:class:`~repro.graph.traversal_cache.SharedStream` objects keyed by the
 enumeration signature (tuple pair + limits for paths, required tuple
 sequence + limits for trees).  Identical sub-plans — across the sources
 of one query or across different query texts of a batch — execute once
@@ -70,16 +70,11 @@ from repro.graph.csr import (
     resolve_core,
 )
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import (
-    SharedStream,
-    TraversalCache,
-    fast_enumerate_joining_trees,
-    fast_enumerate_simple_paths,
-)
 from repro.graph.traversal import (
     enumerate_joining_trees,
     enumerate_simple_paths,
 )
+from repro.graph.traversal_cache import SharedStream, TraversalCache
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.planner.cost import resolve_adaptive
@@ -223,7 +218,6 @@ class Executor:
         self,
         data_graph: DataGraph,
         *,
-        use_fast_traversal: bool = True,
         core: Optional[str] = None,
         cache: Optional[TraversalCache] = None,
         shared: Optional[SharedEnumerations] = None,
@@ -232,11 +226,8 @@ class Executor:
     ) -> None:
         self.data_graph = data_graph
         #: Traversal kernel: ``csr`` (compiled integer kernels, the
-        #: default), ``fast`` (pruned TupleId core) or ``reference``
-        #: (brute-force networkx).  ``use_fast_traversal`` is the legacy
-        #: boolean selector; ``core`` wins when both are given.
-        self.core = resolve_core(use_fast_traversal, core)
-        self.use_fast_traversal = self.core != "reference"
+        #: default) or ``reference`` (brute-force networkx oracle).
+        self.core = resolve_core(core)
         if cache is None or cache.data_graph is not data_graph:
             cache = TraversalCache(data_graph)
         self.cache = cache
@@ -256,7 +247,7 @@ class Executor:
         #: either way — the bounds are admissible, so emission only gets
         #: cheaper.  Resolved here so ``REPRO_STATIC_PLAN`` freezes the
         #: whole process; requires the compiled ``csr`` core's cheap
-        #: distance rows, other cores keep the static order.
+        #: distance rows, the reference core keeps the static order.
         self.adaptive = resolve_adaptive(adaptive)
         self.stats = ExecutionStats()
         #: Live span of the run in flight (``None`` while tracing is
@@ -567,15 +558,6 @@ class Executor:
                 max_paths=limits.max_paths_per_pair,
                 cache=cache,
             )
-        elif self.core == "fast":
-            factory = lambda: fast_enumerate_simple_paths(
-                self.data_graph,
-                source,
-                target,
-                limits.max_rdb_length,
-                max_paths=limits.max_paths_per_pair,
-                cache=cache,
-            )
         else:
             factory = lambda: enumerate_simple_paths(
                 self.data_graph,
@@ -602,14 +584,6 @@ class Executor:
         )
         if self.core == "csr":
             factory = lambda: csr_enumerate_joining_trees(
-                self.data_graph,
-                list(required),
-                limits.max_tuples,
-                max_results=limits.max_networks,
-                cache=cache,
-            )
-        elif self.core == "fast":
-            factory = lambda: fast_enumerate_joining_trees(
                 self.data_graph,
                 list(required),
                 limits.max_tuples,

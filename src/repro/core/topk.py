@@ -20,10 +20,9 @@ a single-source plan (pair paths, no single tuples) with a top-k cut;
 the result provably equals "enumerate everything, sort, cut at k"
 (tested against it).
 
-Enumeration runs on the pruned bidirectional traversal core by default
-and can share the engine's
-:class:`~repro.graph.fast_traversal.TraversalCache`;
-``use_fast_traversal=False`` is the brute-force escape hatch.  Rankers
+Enumeration runs on the compiled ``csr`` core by default and can share
+the engine's :class:`~repro.graph.traversal_cache.TraversalCache`;
+``core="reference"`` is the brute-force escape hatch.  Rankers
 without a registered bound (instance ambiguity, combined content
 scores) fall back to full enumeration — correctness over speed.
 """
@@ -40,7 +39,7 @@ from repro.core.ranking import Ranker
 from repro.core.search import SearchLimits
 from repro.errors import QueryError
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 
 __all__ = ["lower_bound_for", "top_k_connections"]
 
@@ -52,7 +51,6 @@ def top_k_connections(
     k: int,
     limits: SearchLimits = SearchLimits(),
     *,
-    use_fast_traversal: bool = True,
     core: Optional[str] = None,
     cache: Optional[TraversalCache] = None,
 ) -> list[tuple[Connection, tuple[float, ...]]]:
@@ -63,9 +61,9 @@ def top_k_connections(
     keywords only — the paper's query shape; the engine's pipeline serves
     every other shape through the same executor.
 
-    Pass the engine's ``cache`` to reuse its distance maps across calls;
-    ``use_fast_traversal=False`` enumerates through the brute-force
-    networkx core instead (identical answers, no pruning).
+    Pass the engine's ``cache`` to reuse its compiled graph across calls;
+    ``core="reference"`` enumerates through the brute-force networkx
+    core instead (identical answers, no pruning).
     """
     if len(matches) != 2:
         raise QueryError(
@@ -86,9 +84,7 @@ def top_k_connections(
         merge=Merge(coverage_major=False),
         cut=Cut(k),
     )
-    executor = Executor(
-        data_graph, use_fast_traversal=use_fast_traversal, core=core, cache=cache
-    )
+    executor = Executor(data_graph, core=core, cache=cache)
     return [
         (result.answer, result.score)
         for result in executor.run(plan, ranker, limits)

@@ -5,19 +5,19 @@
 * :mod:`repro.graph.data_graph` — tuples as nodes (the BANKS view of a
   database) plus the *conceptual* collapse that removes middle-relation
   tuples;
-* :mod:`repro.graph.traversal` — bounded enumeration of paths and joining
-  trees used by the search engines;
-* :mod:`repro.graph.fast_traversal` — the pruned, cache-backed TupleId
-  core producing identical answers;
+* :mod:`repro.graph.traversal` — brute-force bounded enumeration of
+  paths and joining trees: the ``reference`` core and oracle;
 * :mod:`repro.graph.csr` — the compiled integer-interned CSR kernel
-  (the engine's default core), bit-identical again and patched in place
-  by live updates.
+  (the ``csr`` core, which serves every query by default), bit-identical
+  to the reference and patched in place by live updates;
+* :mod:`repro.graph.traversal_cache` — the engine-owned cache holding
+  the compiled graph and its reuse counters.
 """
 
 from repro.graph.schema_graph import SchemaGraph
 from repro.graph.csr import FrozenGraph, resolve_core
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 
 __all__ = [
     "DataGraph",

@@ -1,16 +1,15 @@
 """Compiled CSR graph kernel: the integer-interned traversal core.
 
-The pruned core in :mod:`repro.graph.fast_traversal` already avoids the
-brute-force traversal's re-sorting and re-BFS-ing, but it still walks
-:class:`~repro.relational.database.TupleId` objects: every expansion
-hashes composite dataclass keys, every distance lookup is a dict probe,
-and every visited test hashes a tuple id into a set.  This module
-compiles the graph **once** into a flat integer form and runs the
-kernels entirely on dense ints:
+The reference core in :mod:`repro.graph.traversal` walks
+:class:`~repro.relational.database.TupleId` objects by brute force:
+every expansion re-reads and re-sorts networkx adjacency and hashes
+composite dataclass keys, every joining-tree call re-runs a BFS per
+required tuple.  This module compiles the graph **once** into a flat
+integer form and runs the kernels entirely on dense ints:
 
 * **Interning.**  Tuple ids are interned to dense ints in
   ``_sort_key`` order, so comparing ints *is* comparing the
-  deterministic expansion order the other cores sort by.
+  deterministic expansion order the reference core sorts by.
 * **CSR adjacency.**  One ``array('i')`` of offsets and one of targets,
   plus a parallel edge-payload table (edge key strings and edge data
   dicts, shared with the underlying networkx graph) holding each node's
@@ -31,10 +30,9 @@ kernels entirely on dense ints:
   recompiled (compaction), so a long-lived served engine never degrades
   into a pile of overrides.
 
-The output contract is the one the differential tests enforce for every
-core: same answers, same order, same
-:class:`~repro.errors.SearchLimitError` budget points as
-:mod:`repro.graph.traversal` and :mod:`repro.graph.fast_traversal`.
+The output contract is the one the differential tests enforce: same
+answers, same order, same :class:`~repro.errors.SearchLimitError`
+budget points as :mod:`repro.graph.traversal`, the reference oracle.
 """
 
 from __future__ import annotations
@@ -61,23 +59,17 @@ __all__ = [
 
 _UNREACHABLE = 1 << 30
 
-#: The engine's traversal kernels, fastest first.  ``csr`` runs this
-#: module's integer kernels, ``fast`` the pruned TupleId core, and
-#: ``reference`` the brute-force networkx enumeration — all three are
+#: The engine's traversal kernels.  ``csr`` runs this module's integer
+#: kernels and serves every query by default; ``reference`` is the
+#: brute-force networkx enumeration, kept as the oracle.  Both are
 #: bit-identical in answers, order and budget-error points.
-CORES = ("csr", "fast", "reference")
+CORES = ("csr", "reference")
 
 
-def resolve_core(use_fast_traversal: bool = True, core: Optional[str] = None) -> str:
-    """Map the legacy ``use_fast_traversal`` flag and the explicit
-    ``core`` selector onto one kernel name.
-
-    ``core`` wins when given; otherwise ``use_fast_traversal=True``
-    selects the compiled CSR kernel (the default everywhere) and
-    ``False`` the brute-force reference core.
-    """
+def resolve_core(core: Optional[str] = None) -> str:
+    """Validate a ``core`` selector; ``None`` selects ``csr``."""
     if core is None:
-        return "csr" if use_fast_traversal else "reference"
+        return "csr"
     if core not in CORES:
         raise QueryError(
             "unknown traversal core", got=core, expected=list(CORES)
@@ -129,10 +121,10 @@ class FrozenGraph:
         #: snapshots) compare this stamp to detect staleness.
         self.compile_stamp = 0
         #: Where distance-row hit/miss counts are recorded.  The owning
-        #: :class:`~repro.graph.fast_traversal.TraversalCache` passes
+        #: :class:`~repro.graph.traversal_cache.TraversalCache` passes
         #: itself, so ``cache.hits`` means "distance lookups reused"
-        #: whichever core served them; standalone graphs count on their
-        #: own attributes.
+        #: across every graph it hands out; standalone graphs count on
+        #: their own attributes.
         self._counters = counters if counters is not None else self
         self._compile()
 
@@ -669,8 +661,7 @@ def _private_frozen(data_graph: DataGraph, cache) -> tuple[FrozenGraph, object]:
     """Resolve the compiled graph for one kernel call.
 
     A cache built on another graph would serve a stale compilation;
-    fall back to a private one rather than answer wrongly (the same
-    discipline the fast core applies to its TraversalCache).
+    fall back to a private one rather than answer wrongly.
     """
     if cache is not None and cache.data_graph is data_graph:
         return cache.frozen(), cache
@@ -687,11 +678,11 @@ def csr_enumerate_simple_paths(
 ) -> Iterator[list[TuplePathStep]]:
     """Drop-in replacement for ``enumerate_simple_paths`` on the compiled core.
 
-    Same paths, same order, same budget semantics as both other cores.
+    Same paths, same order, same budget semantics as the reference core.
     The forward DFS runs on ints with a shared visited ``bytearray``
     and an in-place path stack (push/undo, no per-expansion copies);
     the backward BFS bound is an array lookup.  ``cache`` is the
-    engine's :class:`~repro.graph.fast_traversal.TraversalCache` — its
+    engine's :class:`~repro.graph.traversal_cache.TraversalCache` — its
     compiled :class:`FrozenGraph` and enumeration counters are used
     when it matches ``data_graph``.
     """

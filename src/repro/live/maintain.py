@@ -10,9 +10,8 @@ place* instead of rebuilding it:
 * :func:`apply_to_graph` — removes/adds nodes and FK edges on the data
   graph exactly as construction would, and (via the patch methods)
   invalidates the cached conceptual view and bumps the graph version.
-* :func:`apply_to_traversal_cache` — fine-grained invalidation: only
-  adjacency lists of touched tuples and distance maps of touched
-  connected components are dropped.
+* :func:`apply_to_traversal_cache` — patches the compiled CSR graph in
+  place; only distance rows of touched connected components drop.
 
 :func:`affected_tuples` computes the invalidation frontier for the
 answer cache: structural changes (node/edge add/remove) taint their
@@ -25,7 +24,7 @@ caught separately by the cache's keyword fingerprints).
 from __future__ import annotations
 
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 from repro.live.changes import ChangeSet
 from repro.relational.database import Database, TupleId
 from repro.relational.index import InvertedIndex
@@ -79,18 +78,17 @@ def apply_to_graph(
         data_graph.add_fk_edge(edge.referencing, edge.referenced, edge.foreign_key)
 
 
-def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> int:
-    """Invalidate only the traversal-cache entries the batch can affect.
+def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> None:
+    """Patch the traversal cache's compiled graph for one batch.
 
-    Only structural changes matter here: adjacency and distance maps are
-    pure tuple-identity structures, so value-only updates leave every
-    cached entry valid.  The cache's compiled CSR graph, when built, is
-    *patched* in place from the changeset's edge deltas (tombstone /
-    append / per-row rebuild) rather than recompiled — run this after
+    The compiled CSR graph, when built, is *patched* in place from the
+    changeset's edge deltas (tombstone / append / per-row rebuild)
+    rather than recompiled; only distance rows of touched components
+    drop, and value-only updates leave every row valid.  Run this after
     :func:`apply_to_graph`, since the patched rows are re-read from the
     updated data graph.
     """
-    return cache.apply_changeset(changeset)
+    cache.apply_changeset(changeset)
 
 
 def apply_to_shard_plan(shard_plan, changeset: ChangeSet) -> None:

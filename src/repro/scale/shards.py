@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.errors import QueryError
 from repro.graph.csr import FrozenGraph
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 from repro.relational.database import TupleId
 from repro.relational.index import InvertedIndex
 

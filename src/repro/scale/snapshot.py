@@ -29,8 +29,8 @@ Restoration is lazy wherever queries allow it:
   (:class:`_LazyEdgeData`);
 * posting lists decode per token on first lookup
   (:class:`~repro.relational.index._LazyPostings`);
-* the networkx tuple graph — only needed by the reference/fast cores
-  and by joining-network metrics — is deferred entirely
+* the networkx tuple graph — only needed by the reference core and
+  by joining-network metrics — is deferred entirely
   (:class:`LazyDataGraph`); a pure-CSR path query never builds it.
 
 The snapshot stores the engine's live-update ``version``; applying
@@ -56,7 +56,7 @@ from repro.durable import fault
 from repro.errors import SnapshotError
 from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph, build_tuple_graph
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 from repro.relational.database import Database, TupleId
 from repro.relational.index import InvertedIndex, Posting, _LazyPostings
 from repro.relational.io import schema_from_dict, schema_to_dict
@@ -139,7 +139,7 @@ class LazyDataGraph(DataGraph):
 
     The compiled CSR kernels answer path queries without ever touching
     the tuple multigraph, so a snapshot-opened engine defers its
-    construction entirely; the first consumer that needs it (fast or
+    construction entirely; the first consumer that needs it (the
     reference core, joining-network metrics, live patching) triggers one
     ordinary :func:`~repro.graph.data_graph.build_tuple_graph` pass —
     node and edge order identical to an eager build.
@@ -854,12 +854,18 @@ def _load_engine(
 
     index = InvertedIndex.from_state(database, postings, load_tokens)
 
+    if core is None:
+        core = meta.get("core")
+        # Snapshots written while a pruned TupleId core still existed may
+        # record it; ``csr`` answers bit-identically, so it stands in.
+        if core == "fast":
+            core = "csr"
     engine = KeywordSearchEngine._from_parts(
         database=database,
         data_graph=data_graph,
         index=index,
         traversal_cache=cache,
-        core=core if core is not None else meta.get("core"),
+        core=core,
         shards=shards if shards is not None else (meta.get("shard_count") or None),
         version=meta.get("engine_version", 0),
         **engine_options,

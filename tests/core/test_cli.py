@@ -194,10 +194,23 @@ class TestBatchFlag:
         code, __ = run("search", "unicorn rainbow; gryphon", "--batch")
         assert code == 1
 
-    def test_slow_flag_same_answers(self):
-        __, fast = run("search", "Smith XML")
-        __, slow = run("search", "Smith XML", "--slow")
-        assert fast == slow
+    def test_reference_core_same_answers(self):
+        __, csr = run("search", "Smith XML; Brown CS", "--batch")
+        __, reference = run("search", "Smith XML; Brown CS", "--batch",
+                            "--core", "reference")
+        assert csr == reference
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "Smith XML"),
+        ("stats", "Smith XML"),
+        ("plan", "Smith XML"),
+        ("snapshot", "save", "unused.snap"),
+    ], ids=lambda argv: argv[0])
+    def test_unknown_core_exits_2(self, argv):
+        # Only csr and reference exist; argparse rejects anything else.
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv, "--core", "fast")
+        assert exit_info.value.code == 2
 
     def test_batch_only_separators_reports_no_queries(self):
         code, output = run("search", ";;;", "--batch")
@@ -239,10 +252,10 @@ class TestStreamFlag:
         assert code == 2
 
     def test_stream_slow_core_same_answers(self):
-        __, fast = run("search", "Smith XML", "--stream", "--top", "3")
-        __, slow = run("search", "Smith XML", "--stream", "--top", "3",
-                       "--slow")
-        assert fast == slow
+        __, csr = run("search", "Smith XML", "--stream", "--top", "3")
+        __, reference = run("search", "Smith XML", "--stream", "--top", "3",
+                            "--core", "reference")
+        assert csr == reference
 
 
 class TestMutationsFlag:

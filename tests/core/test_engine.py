@@ -210,13 +210,13 @@ class TestPlanEntryPoint:
         assert engine.last_stats.emitted > 0
 
 
-class TestFastTraversalFlag:
-    def test_flag_defaults_on(self, engine):
-        assert engine.use_fast_traversal is True
+class TestTraversalCore:
+    def test_core_defaults_to_csr(self, engine):
+        assert engine.core == "csr"
 
-    def test_slow_engine_gives_same_answers(self, company_db):
-        fast = KeywordSearchEngine(company_db)
-        slow = KeywordSearchEngine(company_db, use_fast_traversal=False)
-        assert [(r.render(), r.score) for r in fast.search("Smith XML")] == [
-            (r.render(), r.score) for r in slow.search("Smith XML")
+    def test_reference_engine_gives_same_answers(self, company_db):
+        csr = KeywordSearchEngine(company_db)
+        reference = KeywordSearchEngine(company_db, core="reference")
+        assert [(r.render(), r.score) for r in csr.search("Smith XML")] == [
+            (r.render(), r.score) for r in reference.search("Smith XML")
         ]

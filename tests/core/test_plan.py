@@ -170,7 +170,7 @@ class TestHotClassesStaySlotted:
 
     def test_traversal_and_executor_classes(self):
         from repro.core.executor import ExecutionStats, SearchResult
-        from repro.graph.fast_traversal import SharedStream
+        from repro.graph.traversal_cache import SharedStream
         from repro.graph.traversal import TuplePathStep
         from repro.relational.database import TupleId
 

@@ -131,7 +131,7 @@ class TestBasics:
 
 
 class TestTraversalCoreRouting:
-    """Top-k enumerates through the fast core (with an escape hatch)."""
+    """Top-k enumerates through the csr core (with an escape hatch)."""
 
     @pytest.mark.parametrize(
         "ranker",
@@ -140,13 +140,12 @@ class TestTraversalCoreRouting:
     )
     def test_slow_core_identical(self, data_graph, smith_xml, ranker):
         limits = SearchLimits(max_rdb_length=4)
-        fast = top_k_connections(data_graph, smith_xml, ranker, 5, limits)
-        slow = top_k_connections(
-            data_graph, smith_xml, ranker, 5, limits,
-            use_fast_traversal=False,
+        csr = top_k_connections(data_graph, smith_xml, ranker, 5, limits)
+        reference = top_k_connections(
+            data_graph, smith_xml, ranker, 5, limits, core="reference"
         )
-        assert [(c.render(), s) for c, s in fast] == [
-            (c.render(), s) for c, s in slow
+        assert [(c.render(), s) for c, s in csr] == [
+            (c.render(), s) for c, s in reference
         ]
 
     def test_engine_cache_is_reused(self, engine, smith_xml):

@@ -1,7 +1,7 @@
-"""Differential tests: the compiled CSR kernel vs both existing cores.
+"""Differential tests: the compiled CSR kernel vs the reference core.
 
-The CSR core's contract is the same bit-identical one the fast core
-carries — same paths and trees, same order, same budget errors — plus
+The CSR core's contract is bit-identical output to the brute-force
+reference — same paths and trees, same order, same budget errors — plus
 one more obligation: an incrementally *patched* ``FrozenGraph`` must
 answer exactly like a freshly compiled one.
 """
@@ -23,16 +23,12 @@ from repro.graph.csr import (
     resolve_core,
 )
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import (
-    TraversalCache,
-    fast_enumerate_joining_trees,
-    fast_enumerate_simple_paths,
-)
 from repro.graph.traversal import (
     _sort_key,
     enumerate_joining_trees,
     enumerate_simple_paths,
 )
+from repro.graph.traversal_cache import TraversalCache
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
 from repro.relational.database import TupleId
@@ -66,16 +62,16 @@ def synthetic_graph(planted_synthetic):
 
 class TestResolveCore:
     def test_defaults(self):
+        assert CORES == ("csr", "reference")
         assert resolve_core() == "csr"
-        assert resolve_core(use_fast_traversal=False) == "reference"
         for core in CORES:
             assert resolve_core(core=core) == core
-        # Explicit core wins over the legacy boolean.
-        assert resolve_core(use_fast_traversal=False, core="csr") == "csr"
 
     def test_unknown_core_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_core(core="turbo")
+        for core in ("turbo", "fast"):
+            with pytest.raises(QueryError) as error:
+                resolve_core(core=core)
+            assert error.value.context["expected"] == ["csr", "reference"]
 
 
 class TestFrozenStructure:
@@ -146,24 +142,36 @@ class TestFrozenStructure:
         assert len(frozen._distances) == 3
 
 
+class TestTraversalCache:
+    def test_rebuild_replaces_engine_cache(self, company_db):
+        engine = KeywordSearchEngine(company_db)
+        engine.search("Smith XML")
+        old_cache = engine.traversal_cache
+        engine.rebuild()
+        assert engine.traversal_cache is not old_cache
+        assert engine.traversal_cache.data_graph is engine.data_graph
+
+    def test_distance_lookups_count_on_the_cache(self, data_graph):
+        cache = TraversalCache(data_graph)
+        frozen = cache.frozen()
+        frozen.distances(0)
+        frozen.distances(0)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert (frozen.hits, frozen.misses) == (0, 0)
+
+
 class TestPathParity:
     def test_company_all_pairs_all_cores(self, data_graph):
         cache = TraversalCache(data_graph)
         nodes = sorted(data_graph.graph.nodes, key=str)
         for source, target in itertools.permutations(nodes, 2):
             brute = list(enumerate_simple_paths(data_graph, source, target, 4))
-            fast = list(
-                fast_enumerate_simple_paths(
-                    data_graph, source, target, 4, cache=cache
-                )
-            )
             csr = list(
                 csr_enumerate_simple_paths(
                     data_graph, source, target, 4, cache=cache
                 )
             )
             assert csr == brute, (source, target)
-            assert csr == fast, (source, target)
 
     def test_synthetic_sampled_pairs(self, synthetic_graph):
         cache = TraversalCache(synthetic_graph)
@@ -259,18 +267,12 @@ class TestTreeParity:
         nodes = sorted(synthetic_graph.graph.nodes, key=str)
         for combo in itertools.combinations(nodes[::9], 2):
             brute = list(enumerate_joining_trees(synthetic_graph, list(combo), 4))
-            fast = list(
-                fast_enumerate_joining_trees(
-                    synthetic_graph, list(combo), 4, cache=cache
-                )
-            )
             csr = list(
                 csr_enumerate_joining_trees(
                     synthetic_graph, list(combo), 4, cache=cache
                 )
             )
             assert csr == brute, combo
-            assert csr == fast, combo
 
     def test_budget_error_parity(self, data_graph):
         required = [tid("DEPARTMENT", "d1")]
@@ -322,7 +324,7 @@ class TestSearchLayerParity:
             for core in CORES
         }
         assert engines["csr"].core == "csr"
-        assert engines["reference"].use_fast_traversal is False
+        assert engines["reference"].core == "reference"
         for query in ("kwalpha kwbeta", "kwbeta kwgamma", "kwalpha kwgamma"):
             limits = SearchLimits(max_rdb_length=5)
             rendered = {
@@ -332,7 +334,7 @@ class TestSearchLayerParity:
                 ]
                 for core, engine in engines.items()
             }
-            assert rendered["csr"] == rendered["fast"] == rendered["reference"]
+            assert rendered["csr"] == rendered["reference"]
 
     def test_engine_batch_and_stream_identical(self, planted_synthetic):
         csr = KeywordSearchEngine(planted_synthetic, core="csr",

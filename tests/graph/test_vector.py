@@ -21,7 +21,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_company_like
 from repro.errors import QueryError
 from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 from repro.graph.vector import BACKEND, ENV_FLAG, ScalarBackend, get_backend
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
@@ -229,18 +229,6 @@ class TestDistanceCacheLru:
         frozen.distances(3)
         assert 0 in frozen._distances
         assert 1 not in frozen._distances
-
-    def test_traversal_cache_hit_refreshes_entry(self, data_graph):
-        cache = TraversalCache(data_graph)
-        cache.max_distance_maps = 3
-        tids = sorted(data_graph.graph.nodes, key=str)[:4]
-        a, b, c, d = tids
-        for t in (a, b, c):
-            cache.distances(t)
-        cache.distances(a)
-        cache.distances(d)
-        assert a in cache._distances
-        assert b not in cache._distances
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Incremental maintainers equal a full rebuild, structure by structure."""
 
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import TraversalCache
+from repro.graph.traversal_cache import TraversalCache
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import (
     affected_tuples,
@@ -90,61 +90,70 @@ class TestMaintainers:
 
 
 class TestTraversalCacheInvalidation:
+    """The cache's compiled graph is patched, dropping only stale rows."""
+
     def test_only_touched_component_maps_drop(self, company_db):
         # Add an isolated department: its component is separate from the
-        # main one, so its distance map must survive mutations elsewhere.
+        # main one, so its distance row must survive mutations elsewhere.
         company_db.insert("DEPARTMENT", {"ID": "d9", "D_NAME": "isolated"})
         data_graph = DataGraph(company_db)
         cache = TraversalCache(data_graph)
-        cache.distances(tid("DEPARTMENT", "d9"))
-        cache.distances(tid("EMPLOYEE", "e1"))
+        frozen = cache.frozen()
+        isolated = frozen.node_of(tid("DEPARTMENT", "d9"))
+        connected = frozen.node_of(tid("EMPLOYEE", "e1"))
+        frozen.distances(isolated)
+        frozen.distances(connected)
         changeset = apply_to_database(
             company_db,
             [Insert("DEPENDENT",
                     {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"})],
         )
         apply_changeset(changeset, company_db, data_graph=data_graph)
-        dropped = apply_to_traversal_cache(cache, changeset)
-        assert dropped == 1  # only the main component's map
+        apply_to_traversal_cache(cache, changeset)
+        assert cache.frozen() is frozen  # patched, not recompiled
         cache.hits = cache.misses = 0
-        cache.distances(tid("DEPARTMENT", "d9"))
+        frozen.distances(isolated)
         assert cache.hits == 1 and cache.misses == 0
-        cache.distances(tid("EMPLOYEE", "e1"))
+        frozen.distances(connected)
         assert cache.misses == 1
 
     def test_value_only_update_keeps_every_map(self, company_db):
         data_graph = DataGraph(company_db)
         cache = TraversalCache(data_graph)
-        cache.distances(tid("EMPLOYEE", "e1"))
-        cache.expansions(tid("DEPARTMENT", "d1"))
+        frozen = cache.frozen()
+        node = frozen.node_of(tid("EMPLOYEE", "e1"))
+        frozen.distances(node)
+        neighbours = frozen.neighbour_ints(node)
         changeset = apply_to_database(
             company_db,
             [Update(tid("DEPARTMENT", "d1"), {"D_DESCRIPTION": "robotics"})],
         )
         apply_changeset(changeset, company_db, data_graph=data_graph)
-        assert apply_to_traversal_cache(cache, changeset) == 0
+        apply_to_traversal_cache(cache, changeset)
         cache.hits = cache.misses = 0
-        cache.distances(tid("EMPLOYEE", "e1"))
+        frozen.distances(node)
         assert cache.hits == 1 and cache.misses == 0
-        assert tid("DEPARTMENT", "d1") in cache._expansions
+        assert frozen.neighbour_ints(node) is neighbours
 
     def test_adjacency_dropped_for_endpoints_only(self, company_db):
         data_graph = DataGraph(company_db)
         cache = TraversalCache(data_graph)
-        cache.expansions(tid("EMPLOYEE", "e1"))
-        cache.expansions(tid("EMPLOYEE", "e3"))
+        frozen = cache.frozen()
+        e1 = frozen.node_of(tid("EMPLOYEE", "e1"))
+        e3 = frozen.node_of(tid("EMPLOYEE", "e3"))
+        frozen.neighbour_ints(e1)
+        e3_neighbours = frozen.neighbour_ints(e3)
         changeset = apply_to_database(
             company_db,
             [Insert("DEPENDENT",
                     {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"})],
         )
-        apply_changeset(changeset, company_db, data_graph=data_graph)
-        cache.invalidate_tuples(changeset.touched())
-        assert tid("EMPLOYEE", "e1") not in cache._expansions
-        assert tid("EMPLOYEE", "e3") in cache._expansions
-        # Re-derived expansion sees the new edge.
-        others = [other for other, __, __ in
-                  cache.expansions(tid("EMPLOYEE", "e1"))]
+        apply_changeset(
+            changeset, company_db, data_graph=data_graph, traversal_cache=cache
+        )
+        assert frozen.neighbour_ints(e3) is e3_neighbours
+        # The re-derived row of the edge endpoint sees the new edge.
+        others = [frozen.tid_of(other) for other in frozen.neighbour_ints(e1)]
         assert tid("DEPENDENT", "t9") in others
 
 

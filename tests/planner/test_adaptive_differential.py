@@ -47,7 +47,7 @@ def skewed():
     return database, [query.text for query in queries]
 
 
-@pytest.mark.parametrize("core", ["csr", "fast", "reference"])
+@pytest.mark.parametrize("core", ["csr", "reference"])
 @pytest.mark.parametrize("semantics", ["and", "or"])
 def test_adaptive_matches_static_across_cores(skewed, core, semantics):
     database, texts = skewed

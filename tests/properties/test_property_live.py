@@ -20,6 +20,7 @@ from repro.datasets.synthetic import (
     plant,
 )
 from repro.errors import SearchLimitError
+from repro.graph.csr import CORES
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 
 configs = st.builds(
@@ -33,6 +34,8 @@ configs = st.builds(
 )
 
 _KINDS = ("insert_dependent", "insert_works", "update_description", "delete")
+
+cores = st.sampled_from(CORES)
 
 operations = st.lists(
     st.tuples(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=1 << 20)),
@@ -101,11 +104,11 @@ def rendered(results):
     return [(r.render(), r.score, r.rank) for r in results]
 
 
-def run_interleaving(config, ops, fast):
+def run_interleaving(config, ops, core):
     """Yield (live engine, lockstep oracle database) after each batch."""
     live_db = planted_database(config)
     oracle_db = planted_database(config)
-    engine = KeywordSearchEngine(live_db, use_fast_traversal=fast)
+    engine = KeywordSearchEngine(live_db, core=core)
     yield engine, oracle_db
     for counter, (kind, salt) in enumerate(ops):
         mutation = build_mutation(live_db, kind, salt, counter)
@@ -117,13 +120,13 @@ def run_interleaving(config, ops, fast):
 
 class TestInterleavingDifferential:
     @relaxed
-    @given(configs, operations, st.booleans())
+    @given(configs, operations, cores)
     def test_search_matches_rebuilt_engine_at_every_step(
-        self, config, ops, fast
+        self, config, ops, core
     ):
-        for engine, oracle_db in run_interleaving(config, ops, fast):
+        for engine, oracle_db in run_interleaving(config, ops, core):
             oracle = KeywordSearchEngine(
-                oracle_db, use_fast_traversal=fast, result_cache_entries=0
+                oracle_db, core=core, result_cache_entries=0
             )
             for query in _QUERIES:
                 for semantics in ("and", "or"):
@@ -136,15 +139,15 @@ class TestInterleavingDifferential:
                     )
 
     @relaxed
-    @given(configs, operations, st.booleans(),
+    @given(configs, operations, cores,
            st.integers(min_value=1, max_value=5))
-    def test_stream_batch_and_topk_after_mutations(self, config, ops, fast, k):
+    def test_stream_batch_and_topk_after_mutations(self, config, ops, core, k):
         final = None
-        for final in run_interleaving(config, ops, fast):
+        for final in run_interleaving(config, ops, core):
             pass
         engine, oracle_db = final
         oracle = KeywordSearchEngine(
-            oracle_db, use_fast_traversal=fast, result_cache_entries=0
+            oracle_db, core=core, result_cache_entries=0
         )
         queries = list(_QUERIES)
         assert [
@@ -161,8 +164,8 @@ class TestInterleavingDifferential:
             )
 
     @relaxed
-    @given(configs, operations, st.booleans())
-    def test_budget_error_points_identical(self, config, ops, fast):
+    @given(configs, operations, cores)
+    def test_budget_error_points_identical(self, config, ops, core):
         tight = SearchLimits(
             max_rdb_length=4, max_tuples=5,
             max_paths_per_pair=2, max_networks=2,
@@ -174,9 +177,9 @@ class TestInterleavingDifferential:
             except SearchLimitError as error:
                 return ("limit", str(error))
 
-        for engine, oracle_db in run_interleaving(config, ops, fast):
+        for engine, oracle_db in run_interleaving(config, ops, core):
             oracle = KeywordSearchEngine(
-                oracle_db, use_fast_traversal=fast, result_cache_entries=0
+                oracle_db, core=core, result_cache_entries=0
             )
             for query in _QUERIES:
                 assert outcome(engine, query) == outcome(oracle, query)
@@ -184,20 +187,20 @@ class TestInterleavingDifferential:
     @relaxed
     @given(configs, operations)
     def test_cores_agree_after_mutations(self, config, ops):
-        fast_pair = None
-        slow_pair = None
-        for fast_pair in run_interleaving(config, ops, True):
+        csr_pair = None
+        reference_pair = None
+        for csr_pair in run_interleaving(config, ops, "csr"):
             pass
-        for slow_pair in run_interleaving(config, ops, False):
+        for reference_pair in run_interleaving(config, ops, "reference"):
             pass
-        fast_engine, __ = fast_pair
-        slow_engine, __ = slow_pair
+        csr_engine, __ = csr_pair
+        reference_engine, __ = reference_pair
         for query in _QUERIES:
             for semantics in ("and", "or"):
                 assert rendered(
-                    fast_engine.search(query, limits=_LIMITS,
-                                       semantics=semantics)
+                    csr_engine.search(query, limits=_LIMITS,
+                                      semantics=semantics)
                 ) == rendered(
-                    slow_engine.search(query, limits=_LIMITS,
-                                       semantics=semantics)
+                    reference_engine.search(query, limits=_LIMITS,
+                                            semantics=semantics)
                 )

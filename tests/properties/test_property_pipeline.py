@@ -46,7 +46,7 @@ relaxed = settings(
 _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=5)
 
 
-def planted_engine(config, use_fast_traversal=True):
+def planted_engine(config, core=None):
     database = generate_company_like(config)
     plant(database, "kwalpha", "DEPARTMENT", "D_DESCRIPTION",
           min(2, database.count("DEPARTMENT")), seed=1)
@@ -54,7 +54,7 @@ def planted_engine(config, use_fast_traversal=True):
           min(2, database.count("EMPLOYEE")), seed=2)
     plant(database, "kwgamma", "PROJECT", "P_DESCRIPTION",
           min(2, database.count("PROJECT")), seed=3)
-    return KeywordSearchEngine(database, use_fast_traversal=use_fast_traversal)
+    return KeywordSearchEngine(database, core=core)
 
 
 def rendered(results):
@@ -95,13 +95,13 @@ class TestPushdownIdentity:
     @relaxed
     @given(configs, st.integers(min_value=1, max_value=5))
     def test_both_cores_agree_under_pushdown(self, config, k):
-        fast = planted_engine(config)
-        slow = planted_engine(config, use_fast_traversal=False)
+        csr = planted_engine(config)
+        reference = planted_engine(config, core="reference")
         for query in ("kwalpha kwbeta", "kwalpha kwbeta kwgamma"):
             assert rendered(
-                fast.search(query, limits=_LIMITS, top_k=k)
+                csr.search(query, limits=_LIMITS, top_k=k)
             ) == rendered(
-                slow.search(query, limits=_LIMITS, top_k=k)
+                reference.search(query, limits=_LIMITS, top_k=k)
             )
 
 
@@ -156,14 +156,14 @@ class TestTopKApi:
     def test_top_k_connections_both_cores_identical(self, config, ranker, k):
         engine = planted_engine(config)
         matches = match_keywords(engine.index, ("kwalpha", "kwbeta"))
-        fast = top_k_connections(
+        csr = top_k_connections(
             engine.data_graph, matches, ranker, k, _LIMITS,
             cache=engine.traversal_cache,
         )
-        slow = top_k_connections(
+        reference = top_k_connections(
             engine.data_graph, matches, ranker, k, _LIMITS,
-            use_fast_traversal=False,
+            core="reference",
         )
-        assert [(c.render(), s) for c, s in fast] == [
-            (c.render(), s) for c, s in slow
+        assert [(c.render(), s) for c, s in csr] == [
+            (c.render(), s) for c, s in reference
         ]

@@ -12,7 +12,7 @@ from repro.datasets.synthetic import (
     generate_tenants,
     plant,
 )
-from repro.errors import SearchLimitError, SnapshotError
+from repro.errors import QueryError, SearchLimitError, SnapshotError
 from repro.live.changes import Delete, Insert, Update
 from repro.relational.database import TupleId
 from repro.relational.statistics import DatabaseStatistics
@@ -61,7 +61,7 @@ class TestRoundTrip:
                     engine.search(query, limits=LIMITS, semantics=semantics)
                 )
 
-    @pytest.mark.parametrize("core", ["csr", "fast", "reference"])
+    @pytest.mark.parametrize("core", ["csr", "reference"])
     def test_identical_on_every_core(self, saved, core):
         engine, path, __ = saved
         restored = KeywordSearchEngine.open(path, core=core)
@@ -72,6 +72,29 @@ class TestRoundTrip:
             assert rendered(restored.search(query, limits=LIMITS)) == rendered(
                 oracle.search(query, limits=LIMITS)
             )
+
+    def test_retired_fast_core_opens_as_csr(self, tmp_path):
+        # Snapshots written while the pruned TupleId core existed record
+        # core "fast"; they open on the bit-identical csr core.
+        writer = KeywordSearchEngine(planted_database())
+        writer.core = "fast"
+        path = tmp_path / "fast.snap"
+        assert writer.save(path)["core"] == "fast"
+        restored = KeywordSearchEngine.open(path)
+        assert restored.core == "csr"
+        oracle = KeywordSearchEngine(
+            planted_database(), core="csr", result_cache_entries=0
+        )
+        for query in QUERIES:
+            assert rendered(restored.search(query, limits=LIMITS)) == rendered(
+                oracle.search(query, limits=LIMITS)
+            )
+        # Only the stored value is translated: callers naming the retired
+        # core are refused.
+        with pytest.raises(QueryError):
+            KeywordSearchEngine.open(path, core="fast")
+        with pytest.raises(QueryError):
+            KeywordSearchEngine(planted_database(), core="fast")
 
     def test_stream_batch_and_topk(self, saved):
         engine, path, __ = saved
@@ -144,9 +167,9 @@ class TestLaziness:
         restored.search("kwalpha kwbeta", limits=LIMITS)
         assert not restored.data_graph.materialized
 
-    def test_fast_core_materialises_on_demand(self, saved):
+    def test_reference_core_materialises_on_demand(self, saved):
         __, path, ___ = saved
-        restored = KeywordSearchEngine.open(path, core="fast")
+        restored = KeywordSearchEngine.open(path, core="reference")
         restored.search("kwalpha kwbeta", limits=LIMITS)
         assert restored.data_graph.materialized
 

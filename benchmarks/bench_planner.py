@@ -1,16 +1,14 @@
-"""Experiment P9: cost-based adaptive planning and routing gates.
+"""Experiment P9: cost-based planning and routing gates.
 
-Two deterministic gates over a skewed workload (Zipf-popular keywords
-whose popularity correlates with match-list size — the shape where
-static plan-order enumeration wastes the most work):
+Deterministic gates over a skewed workload (Zipf-popular keywords whose
+popularity correlates with match-list size — the shape where plan-order
+enumeration would waste the most work):
 
-* **enumeration gate** — answering the workload top-k with the adaptive
-  planner must enumerate >= 30% fewer kernel units (paths + trees
-  actually materialised by the traversal core) than the static planner,
-  while every answer, score and rank stays bit-identical.  The saving
-  comes from draining enumeration units cheapest-admissible-bound first
-  and skipping provably-empty units, never from changing what is
-  emitted.
+* **pushdown identity** — answering the workload top-k on the compiled
+  ``csr`` core, whose pushdown heaps drain units cheapest admissible
+  distance bound first and skip provably-empty units, must return
+  answers, scores and ranks bit-identical to the ``reference`` core.
+  The pruned-unit count is printed alongside.
 * **dispatch gate** — LPT cost routing of a ``jobs=4`` full-enumeration
   batch must achieve a makespan (per-worker sum of observed candidate
   work) no worse than contiguous round-robin chunking, and the pooled
@@ -20,9 +18,8 @@ static plan-order enumeration wastes the most work):
   ``engine.query_cost`` predicts from.
 
 Report lines parsed by ``run_all.py`` into the consolidated report's
-``"planner"`` key (schema ``repro-bench-report/5``)::
+``"planner"`` key (schema ``repro-bench-report/6``)::
 
-    planner-enum-reduction-pct: <float>
     planner-makespan-ratio: <float>
 
 Run standalone::
@@ -32,7 +29,6 @@ Run standalone::
 """
 
 import argparse
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -60,7 +56,6 @@ WORKLOAD = SkewedWorkloadConfig(
 LIMITS = SearchLimits(max_rdb_length=4, max_tuples=4)
 TOP_K = 3
 JOBS = 4
-REDUCTION_GATE = 30.0  # percent
 
 
 def build_workload():
@@ -73,14 +68,9 @@ def snap(results):
     return [(r.render(), r.score, r.rank) for r in results]
 
 
-def enumerated(engine) -> int:
-    cache = engine.traversal_cache
-    return cache.paths_enumerated + cache.trees_enumerated
-
-
-def run_serial(database, texts, adaptive, top_k=TOP_K):
-    """Answer the workload; returns (answers, units, per-query work)."""
-    engine = KeywordSearchEngine(database, adaptive=adaptive)
+def run_serial(database, texts, core="csr", top_k=TOP_K):
+    """Answer the workload; returns (answers, work, pruned, engine)."""
+    engine = KeywordSearchEngine(database, core=core)
     answers = []
     work = []
     pruned = 0
@@ -88,7 +78,7 @@ def run_serial(database, texts, adaptive, top_k=TOP_K):
         answers.append(snap(engine.search(text, limits=LIMITS, top_k=top_k)))
         work.append(max(1, engine.last_stats.candidates))
         pruned += engine.last_stats.pruned
-    return answers, enumerated(engine), work, pruned, engine
+    return answers, work, pruned, engine
 
 
 def makespan(assignment, work) -> float:
@@ -106,37 +96,25 @@ def main(argv=None, out=None) -> int:
                              "queries")
     args = parser.parse_args(argv)
 
-    # The bench compares both paths through explicit flags; the global
-    # escape hatch would silently turn the adaptive leg static.
-    os.environ.pop("REPRO_STATIC_PLAN", None)
-
     database, texts = build_workload()
     if args.quick:
         texts = texts[:20]
 
-    # -- enumeration gate ----------------------------------------------
-    static_answers, static_units, __, __, __ = run_serial(
-        database, texts, adaptive=False)
-    adaptive_answers, adaptive_units, __, pruned, __ = run_serial(
-        database, texts, adaptive=True)
-    if adaptive_answers != static_answers:
-        print("FAIL: adaptive answers diverged from static", file=out)
+    # -- pushdown identity ---------------------------------------------
+    csr_answers, __, pruned, __ = run_serial(database, texts)
+    reference_answers, __, __, __ = run_serial(
+        database, texts, core="reference")
+    print(f"pushdown: {len(texts)} skewed queries top-{TOP_K}, "
+          f"{pruned} provably-empty units pruned on csr", file=out)
+    if csr_answers != reference_answers:
+        print("FAIL: csr top-k answers diverged from the reference core",
+              file=out)
         return 1
-    reduction = 100.0 * (1.0 - adaptive_units / max(1, static_units))
-    print(f"enumeration: {len(texts)} skewed queries top-{TOP_K}, "
-          f"static {static_units} units, adaptive {adaptive_units} units "
-          f"({pruned} provably-empty units pruned)", file=out)
-    print(f"planner-enum-reduction-pct: {reduction:.1f}", file=out)
-    if reduction < REDUCTION_GATE:
-        print(f"FAIL: {reduction:.1f}% reduction below the "
-              f"{REDUCTION_GATE:g}% gate", file=out)
-        return 1
-    print(f"OK: adaptive enumerates {reduction:.1f}% fewer units "
-          f"(>= {REDUCTION_GATE:g}%), answers bit-identical", file=out)
+    print("OK: csr top-k answers bit-identical to the reference core",
+          file=out)
 
     # -- dispatch gate (full enumeration) ------------------------------
-    __, __, work, __, engine = run_serial(
-        database, texts, adaptive=True, top_k=None)
+    __, work, __, engine = run_serial(database, texts, top_k=None)
     costs = [engine.query_cost(text) for text in texts]
     routed = route_by_cost(costs, JOBS)
     size = (len(texts) + JOBS - 1) // JOBS
@@ -160,7 +138,7 @@ def main(argv=None, out=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "planner.snap")
         KeywordSearchEngine(database).save(path)
-        pooled = KeywordSearchEngine.open(path, adaptive=True)
+        pooled = KeywordSearchEngine.open(path)
         try:
             batched = pooled.search_batch(
                 pooled_texts, limits=LIMITS, top_k=TOP_K, jobs=JOBS)
@@ -168,7 +146,7 @@ def main(argv=None, out=None) -> int:
         finally:
             pooled.close_pool()
             pooled.close()
-    expected = static_answers[:len(pooled_texts)]
+    expected = csr_answers[:len(pooled_texts)]
     if observed != expected:
         print("FAIL: pooled cost-routed batch diverged from serial answers",
               file=out)

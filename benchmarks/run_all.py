@@ -8,7 +8,7 @@ PR.  The schema is documented in EXPERIMENTS.md ("Benchmark report
 schema"); in short::
 
     {
-      "schema": "repro-bench-report/5",
+      "schema": "repro-bench-report/6",
       "quick": true,
       "python": "3.11.7",
       "vector_backend": "numpy",     # or "stdlib" (no numpy / REPRO_NO_VECTOR)
@@ -17,8 +17,7 @@ schema"); in short::
         "wal_overhead_pct": 4.10,
         "reopen_speedup": 6.4
       },
-      "planner": {                   # bench_planner adaptive-planning gates
-        "enum_reduction_pct": 60.1,
+      "planner": {                   # bench_planner dispatch gate
         "makespan_ratio": 1.44
       },
       "benchmarks": [
@@ -55,8 +54,6 @@ _SPEEDUP = re.compile(r"(\d+(?:\.\d+)?)x\b")
 _OBS_OVERHEAD = re.compile(r"^obs-overhead-pct: (\d+(?:\.\d+)?)$", re.M)
 _WAL_OVERHEAD = re.compile(r"^wal-overhead-pct: (\d+(?:\.\d+)?)$", re.M)
 _REOPEN_SPEEDUP = re.compile(r"^reopen-speedup: (\d+(?:\.\d+)?)$", re.M)
-_ENUM_REDUCTION = re.compile(
-    r"^planner-enum-reduction-pct: (-?\d+(?:\.\d+)?)$", re.M)
 _MAKESPAN_RATIO = re.compile(
     r"^planner-makespan-ratio: (\d+(?:\.\d+)?)$", re.M)
 
@@ -171,15 +168,9 @@ def main(argv=None, out=None) -> int:
             if match:
                 obs_overhead = float(match.group(1))
         if result["name"] == "bench_planner":
-            reduction = _ENUM_REDUCTION.search(result["output"])
             ratio = _MAKESPAN_RATIO.search(result["output"])
-            if reduction or ratio:
-                planner = {
-                    "enum_reduction_pct":
-                        float(reduction.group(1)) if reduction else None,
-                    "makespan_ratio":
-                        float(ratio.group(1)) if ratio else None,
-                }
+            if ratio:
+                planner = {"makespan_ratio": float(ratio.group(1))}
         if result["name"] == "bench_durability":
             overhead = _WAL_OVERHEAD.search(result["output"])
             speedup = _REOPEN_SPEEDUP.search(result["output"])
@@ -192,7 +183,7 @@ def main(argv=None, out=None) -> int:
                 }
 
     report = {
-        "schema": "repro-bench-report/5",
+        "schema": "repro-bench-report/6",
         "quick": quick,
         "python": platform.python_version(),
         "vector_backend": BACKEND.name,

@@ -45,6 +45,7 @@ from repro.core.schema_analysis import analyze_relational_schema
 from repro.core.search import SearchLimits
 from repro.datasets.company import build_company_database
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like
+from repro.errors import QueryError
 from repro.graph.csr import CORES
 from repro.relational.database import Database
 from repro.relational.io import dump_json, load_json
@@ -128,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="force the pure-stdlib CSR kernels even "
                                 "when numpy is available (answers are "
                                 "bit-identical, only slower)")
-    execution.add_argument("--static-plan", action="store_true",
-                           help="disable the adaptive cost-based planner: "
-                                "enumeration units drain in plan order and "
-                                "batches chunk round-robin (answers are "
-                                "bit-identical either way; env "
-                                "REPRO_STATIC_PLAN=1 does the same globally)")
     observability = search.add_argument_group(
         "observability",
         "query spans, metrics and EXPLAIN ANALYZE (see also 'repro stats'); "
@@ -264,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--snapshot", metavar="FILE", default=None,
                       help="open the engine (and its persisted calibration "
                            "table) from a snapshot instead of --db")
-    plan.add_argument("--static-plan", action="store_true",
-                      help="show the uncosted static plan")
 
     commands.add_parser(
         "reproduce", help="regenerate every table, figure and claim"
@@ -401,7 +394,6 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
             core=args.core,
             shards=args.shards,
             vector=False if args.no_vector else None,
-            adaptive=False if args.static_plan else None,
         )
         if args.wal is not None and engine.wal is not None:
             replayed = engine.version - engine.wal.base_version
@@ -418,7 +410,6 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
             core=args.core,
             shards=args.shards,
             vector=False if args.no_vector else None,
-            adaptive=False if args.static_plan else None,
         )
     ranker = _RANKERS[args.ranker]()
     limits = SearchLimits(max_rdb_length=args.max_rdb)
@@ -442,21 +433,26 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
         print("--json cannot be combined with "
               "--stream, --mutations or --group", file=out)
         return 2
-    if args.analyze:
-        return _search_analyze(engine, args, ranker, limits, out)
-    if args.trace:
-        from repro.obs import trace as obs_trace
+    try:
+        if args.analyze:
+            return _search_analyze(engine, args, ranker, limits, out)
+        if args.trace:
+            from repro.obs import trace as obs_trace
 
-        saved = obs_trace.ENABLED
-        obs_trace.set_enabled(True)
-        try:
-            code = _dispatch_search(engine, args, ranker, limits, out)
-        finally:
-            obs_trace.set_enabled(saved)
-        if engine.save_trace(args.trace):
-            print(f"# trace: {args.trace}", file=out)
-        return code
-    return _dispatch_search(engine, args, ranker, limits, out)
+            saved = obs_trace.ENABLED
+            obs_trace.set_enabled(True)
+            try:
+                code = _dispatch_search(engine, args, ranker, limits, out)
+            finally:
+                obs_trace.set_enabled(saved)
+            if engine.save_trace(args.trace):
+                print(f"# trace: {args.trace}", file=out)
+            return code
+        return _dispatch_search(engine, args, ranker, limits, out)
+    except QueryError as error:
+        # Malformed input (exit 2) stays distinct from "no answers" (1).
+        print(f"cannot search: {error}", file=out)
+        return 2
 
 
 def _search_analyze(engine, args, ranker, limits, out) -> int:
@@ -758,21 +754,16 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
 
 def _cmd_plan(args: argparse.Namespace, out) -> int:
     """Compile and cost QUERY, print the annotated plan, execute nothing."""
-    from repro.errors import QueryError
-
-    adaptive = False if args.static_plan else None
     if args.snapshot:
         if args.db:
             print("--snapshot and --db are mutually exclusive", file=out)
             return 2
         engine = KeywordSearchEngine.open(
-            args.snapshot, core=args.core, shards=args.shards,
-            adaptive=adaptive,
+            args.snapshot, core=args.core, shards=args.shards
         )
     else:
         engine = KeywordSearchEngine(
-            _load_database(args.db), core=args.core, shards=args.shards,
-            adaptive=adaptive,
+            _load_database(args.db), core=args.core, shards=args.shards
         )
     try:
         plan, __ = engine._plan(args.query, args.top, args.semantics)
@@ -780,16 +771,11 @@ def _cmd_plan(args: argparse.Namespace, out) -> int:
         print(f"cannot plan: {error}", file=out)
         return 1
     print(plan.describe(), file=out)
-    if engine.adaptive:
-        calibrated = len(engine.calibration)
-        source = (f"{calibrated} calibrated kind(s)" if calibrated
-                  else "uncalibrated defaults")
-        print(f"# planner: adaptive (cost model over posting lengths x "
-              f"graph fanout, {source})", file=out)
-    else:
-        print("# planner: static (plan-order enumeration; "
-              "set no flag and unset REPRO_STATIC_PLAN for adaptive)",
-              file=out)
+    calibrated = len(engine.calibration)
+    source = (f"{calibrated} calibrated kind(s)" if calibrated
+              else "uncalibrated defaults")
+    print(f"# planner: cost model over posting lengths x graph fanout, "
+          f"{source}", file=out)
     return 0
 
 

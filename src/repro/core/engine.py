@@ -63,7 +63,7 @@ from repro.live.maintain import affected_tuples, apply_changeset
 from repro.live.result_cache import CacheEntry, ResultCache
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.planner.cost import CalibrationTable, CostModel, resolve_adaptive
+from repro.planner.cost import CalibrationTable, CostModel
 from repro.relational.database import Database
 from repro.relational.index import InvertedIndex
 
@@ -84,7 +84,6 @@ class KeywordSearchEngine:
         core: Optional[str] = None,
         shards: Optional[int] = None,
         vector: Optional[bool] = None,
-        adaptive: Optional[bool] = None,
     ) -> None:
         self._wire(
             database=database,
@@ -97,7 +96,6 @@ class KeywordSearchEngine:
             core=core,
             shards=shards,
             vector=vector,
-            adaptive=adaptive,
             version=0,
         )
 
@@ -115,7 +113,6 @@ class KeywordSearchEngine:
         shards: Optional[int],
         version: int,
         vector: Optional[bool] = None,
-        adaptive: Optional[bool] = None,
     ) -> None:
         """Shared field wiring of cold construction and snapshot restore."""
         self.database = database
@@ -147,14 +144,6 @@ class KeywordSearchEngine:
         #: tuples provably lie in different connected components.
         self.shards = shards or None
         self._shard_plan = None
-        #: Cost-based adaptive planning (see :mod:`repro.planner`):
-        #: pushdown enumeration drains units by admissible distance
-        #: bounds, plans carry cost estimates, batch dispatch routes by
-        #: predicted cost, and observed stats recalibrate the estimates.
-        #: Answers are bit-identical either way; ``adaptive=False`` (or
-        #: the ``REPRO_STATIC_PLAN`` environment variable) restores the
-        #: static order as escape hatch and differential oracle.
-        self.adaptive = resolve_adaptive(adaptive)
         #: Learned per-kind candidate-count correction factors; attached
         #: to the snapshot's stats section on :meth:`save` and restored
         #: lazily on :meth:`open`.  Lives on the engine (not on
@@ -218,7 +207,6 @@ class KeywordSearchEngine:
         shards: Optional[int] = None,
         version: int = 0,
         vector: Optional[bool] = None,
-        adaptive: Optional[bool] = None,
     ) -> "KeywordSearchEngine":
         """Assemble an engine from restored structures (snapshot path)."""
         engine = cls.__new__(cls)
@@ -234,7 +222,6 @@ class KeywordSearchEngine:
             shards=shards,
             version=version,
             vector=vector,
-            adaptive=adaptive,
         )
         return engine
 
@@ -262,8 +249,8 @@ class KeywordSearchEngine:
             raise QueryError("semantics must be 'and' or 'or'", got=semantics)
         matches = self.match(query)
         plan = plan_query(matches, semantics=semantics, top_k=top_k)
-        if self.adaptive and plan.sources:
-            # Advisory annotation only: estimates order/route/report,
+        if plan.sources:
+            # Advisory annotation only: estimates route and report,
             # never filter — plan shape and answers are untouched.
             plan = self._ensure_cost_model().annotate(plan)
         return plan, matches
@@ -396,7 +383,6 @@ class KeywordSearchEngine:
             cache=self.traversal_cache,
             shared=shared,
             shard_plan=self.shard_plan,
-            adaptive=self.adaptive,
         )
 
     # ------------------------------------------------------------------
@@ -440,6 +426,16 @@ class KeywordSearchEngine:
             identity,
         )
 
+    def _cache_lookup(
+        self, key: Optional[Hashable], span_tags: Optional[dict] = None
+    ) -> Optional[CacheEntry]:
+        """The live answer-cache entry for ``key`` (``None`` key: miss)."""
+        with obs_trace.span("result_cache.lookup", **(span_tags or {})) as span:
+            entry = self.result_cache.lookup(key) if key is not None else None
+            if span is not None:
+                span.tag(hit=entry is not None)
+        return entry
+
     def _cache_store(
         self,
         key: Hashable,
@@ -465,6 +461,35 @@ class KeywordSearchEngine:
                 fingerprint=tuple(match.tuple_ids for match in matches),
             ),
         )
+
+    def _run_query(
+        self,
+        query: str,
+        ranker: Ranker,
+        limits: SearchLimits,
+        top_k: Optional[int],
+        semantics: str,
+        pushdown: Optional[bool],
+        key: Optional[Hashable],
+        shared: Optional[SharedEnumerations] = None,
+        span_tags: Optional[dict] = None,
+    ) -> tuple[QueryPlan, list[SearchResult]]:
+        """Plan and execute one query past the answer-cache lookup.
+
+        Sets :attr:`last_stats`, folds the run into the calibration and
+        stores the results under ``key`` unless the engine mutated
+        meanwhile.  ``span_tags`` label the ``plan.compile`` span.
+        """
+        with obs_trace.span("plan.compile", **(span_tags or {})):
+            plan, matches = self._plan(query, top_k, semantics)
+        version = self.version
+        executor = self._executor(shared)
+        results = executor.run(plan, ranker, limits, pushdown=pushdown)
+        self.last_stats = executor.stats
+        self._observe_run(plan, executor.stats)
+        if key is not None and self.version == version:
+            self._cache_store(key, ranker, matches, results, executor.stats)
+        return plan, results
 
     def search(
         self,
@@ -510,25 +535,13 @@ class KeywordSearchEngine:
             key = self._cache_key(
                 query, ranker, limits, top_k, semantics, pushdown
             )
-            with obs_trace.span("result_cache.lookup") as lookup_span:
-                entry = (
-                    self.result_cache.lookup(key) if key is not None else None
-                )
-                if lookup_span is not None:
-                    lookup_span.tag(hit=entry is not None)
+            entry = self._cache_lookup(key)
             if entry is not None:
                 self.last_stats = replace(entry.stats)
                 return list(entry.results)
-            with obs_trace.span("plan.compile"):
-                plan, matches = self._plan(query, top_k, semantics)
-            version = self.version
-            executor = self._executor()
-            results = executor.run(plan, ranker, limits, pushdown=pushdown)
-            self.last_stats = executor.stats
-            if self.adaptive:
-                self._observe_run(plan, executor.stats)
-            if key is not None and self.version == version:
-                self._cache_store(key, ranker, matches, results, executor.stats)
+            __, results = self._run_query(
+                query, ranker, limits, top_k, semantics, pushdown, key
+            )
             return results
         finally:
             if qtrace is not None:
@@ -569,12 +582,7 @@ class KeywordSearchEngine:
                 query, ranker, limits, top_k, semantics, pushdown
             )
             version = self.version
-            with obs_trace.span("result_cache.lookup") as lookup_span:
-                entry = (
-                    self.result_cache.lookup(key) if key is not None else None
-                )
-                if lookup_span is not None:
-                    lookup_span.tag(hit=entry is not None)
+            entry = self._cache_lookup(key)
             if entry is not None:
                 self.last_stats = replace(entry.stats)
                 for result in entry.results:
@@ -613,8 +621,7 @@ class KeywordSearchEngine:
                 self.last_stats = executor.stats
             # Only a fully consumed stream observes: abandoning it
             # mid-way would record a consumer-dependent partial count.
-            if self.adaptive:
-                self._observe_run(plan, executor.stats)
+            self._observe_run(plan, executor.stats)
             if collected is not None and self.version == version:
                 self._cache_store(key, ranker, matches, collected, executor.stats)
         finally:
@@ -702,40 +709,24 @@ class KeywordSearchEngine:
                     key = self._cache_key(
                         query, ranker, limits, top_k, semantics, pushdown
                     )
-                    with obs_trace.span(
-                        "result_cache.lookup", query=query
-                    ) as lookup_span:
-                        entry = (
-                            self.result_cache.lookup(key)
-                            if key is not None
-                            else None
-                        )
-                        if lookup_span is not None:
-                            lookup_span.tag(hit=entry is not None)
+                    entry = self._cache_lookup(key, {"query": query})
                     if entry is not None:
                         resolved[query] = list(entry.results)
                         stats.merge(entry.stats)
                     else:
-                        with obs_trace.span("plan.compile", query=query):
-                            plan, matches = self._plan(query, top_k, semantics)
-                        version = self.version
-                        executor = self._executor(shared)
-                        resolved[query] = executor.run(
-                            plan, ranker, limits, pushdown=pushdown
+                        __, resolved[query] = self._run_query(
+                            query, ranker, limits, top_k, semantics,
+                            pushdown, key, shared=shared,
+                            span_tags={"query": query},
                         )
-                        stats.merge(executor.stats)
-                        if self.adaptive:
-                            self._observe_run(plan, executor.stats)
-                        if key is not None and self.version == version:
-                            self._cache_store(
-                                key, ranker, matches,
-                                resolved[query], executor.stats,
-                            )
+                        stats.merge(self.last_stats)
                 batched.append(resolved[query])
         finally:
             if qtrace is not None:
                 obs_trace.end_trace(qtrace)
-        self.last_stats = stats
+            # Like the pooled path, a failing batch leaves the merged
+            # counters of the queries answered before the error.
+            self.last_stats = stats
         self.last_shared = shared
         return batched
 
@@ -1092,7 +1083,6 @@ class KeywordSearchEngine:
             core=self.core,
             shards=self.shards,
             result_cache_entries=self.result_cache.max_entries,
-            adaptive=self.adaptive,
         )
         self._searcher_key = key
         return self._searcher

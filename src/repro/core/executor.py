@@ -21,7 +21,10 @@ machinery:
   front.  Emission waits until the buffered best *strictly* beats every
   remaining bound, so ties broken by rendered text can never be lost.
   A budget error that full enumeration would hit may simply never be
-  reached — that laziness is the point of the pushdown.
+  reached — that laziness is the point of the pushdown.  Enumeration
+  units enter the merge heaps on admissible bounds (BFS distances on
+  the compiled ``csr`` graph, trivial bounds otherwise) and only build
+  their stream on reaching the top, so provably empty units never run.
 
 OR semantics ride the same machinery: the merge is *coverage-major*, so
 scores (and bounds) are prefixed with ``-covered_keywords`` — pair
@@ -77,7 +80,6 @@ from repro.graph.traversal import (
 from repro.graph.traversal_cache import SharedStream, TraversalCache
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.planner.cost import resolve_adaptive
 from repro.relational.database import TupleId
 
 __all__ = [
@@ -113,8 +115,8 @@ class ExecutionStats:
     whether early termination was active.  ``shard_skips`` counts
     enumeration units (tuple pairs, network assignments) a shard plan
     proved cross-component and never set up — the sharded serving win.
-    ``pruned`` counts units the adaptive planner proved empty from
-    distance bounds and likewise never set up.
+    ``pruned`` counts pushdown units proved empty from their bounds and
+    likewise never set up.
     """
 
     candidates: int = 0
@@ -186,9 +188,9 @@ class SharedEnumerations:
 
 
 #: Heap-entry marker for an enumeration unit whose stream has not been
-#: built yet (adaptive pushdown): the entry carries an admissible
-#: distance bound and the unit signature instead of real items.  Never
-#: compared — the unique unit index before it settles every heap order.
+#: built yet: the entry carries an admissible bound and the unit
+#: signature instead of real items.  Never compared — the unique unit
+#: index before it settles every heap order.
 _LAZY = object()
 
 
@@ -222,7 +224,6 @@ class Executor:
         cache: Optional[TraversalCache] = None,
         shared: Optional[SharedEnumerations] = None,
         shard_plan=None,
-        adaptive: Optional[bool] = None,
     ) -> None:
         self.data_graph = data_graph
         #: Traversal kernel: ``csr`` (compiled integer kernels, the
@@ -240,15 +241,6 @@ class Executor:
         #: additionally run the CSR kernels on the shard's own compiled
         #: graph, whose scratch state is O(shard) instead of O(graph).
         self.shard_plan = shard_plan
-        #: Selectivity-ordered pushdown: enumeration units enter the
-        #: state heaps on admissible BFS distance bounds (streams built
-        #: lazily, provably-empty units skipped) instead of eagerly
-        #: pulling every unit's first item.  Answers are bit-identical
-        #: either way — the bounds are admissible, so emission only gets
-        #: cheaper.  Resolved here so ``REPRO_STATIC_PLAN`` freezes the
-        #: whole process; requires the compiled ``csr`` core's cheap
-        #: distance rows, the reference core keeps the static order.
-        self.adaptive = resolve_adaptive(adaptive)
         self.stats = ExecutionStats()
         #: Live span of the run in flight (``None`` while tracing is
         #: off or between runs); the mode-specific emitters hang their
@@ -313,72 +305,71 @@ class Executor:
                 frozen.distances_block(nodes)
 
     # ------------------------------------------------------------------
-    # adaptive bounds (selectivity-ordered pushdown, csr core only)
+    # admissible unit bounds (pushdown heap order and pruning)
     # ------------------------------------------------------------------
-    def _unit_distance(self, source, target, shard, rows) -> Optional[int]:
-        """Admissible lower bound on the RDB length of any simple path
-        between two tuples: their BFS distance in the compiled graph
-        (rows are warmed by :meth:`_prefetch_distances` and memoised in
-        ``rows`` per target).  ``None`` means no bound is available
-        (tuple not interned) and the caller must fall back to eager
-        static setup; :data:`_UNREACHABLE` or more proves the pair
-        yields nothing.
-        """
-        frozen = self._unit_cache(shard).frozen()
-        row_key = (shard, target)
+    @staticmethod
+    def _distance_row(frozen, shard, tid, rows):
+        """BFS distance row of ``tid`` in ``frozen`` (memoised per shard
+        in ``rows``), or ``None`` when the graph does not intern it."""
+        row_key = (shard, tid)
         row = rows.get(row_key)
         if row is None:
-            node = frozen.node_of(target)
+            node = frozen.node_of(tid)
             if node is None:
                 return None
-            row = frozen.distances(node)
-            rows[row_key] = row
+            row = rows[row_key] = frozen.distances(node)
+        return row
+
+    def _unit_distance(self, source, target, shard, rows) -> int:
+        """Admissible lower bound on the RDB length of any simple path
+        between two distinct tuples: their BFS distance in the compiled
+        graph (rows are warmed by :meth:`_prefetch_distances`), or the
+        trivial bound of one edge where no distance row exists
+        (reference core, tuple not interned).  :data:`_UNREACHABLE` or
+        more proves the pair yields nothing.
+        """
+        if self.core != "csr":
+            return 1
+        frozen = self._unit_cache(shard).frozen()
+        row = self._distance_row(frozen, shard, target, rows)
         source_node = frozen.node_of(source)
-        if source_node is None:
-            return None
+        if row is None or source_node is None:
+            return 1
         if source_node >= len(row):
             return _UNREACHABLE
         return row[source_node]
 
-    def _network_bound(self, required, shard, rows) -> Optional[int]:
+    def _network_bound(self, required, shard, rows) -> int:
         """Admissible lower bound on the tuple count of any joining tree
         over ``required``: a connected tree must contain a path between
         its two farthest required tuples, so it holds at least
         ``max(len(required), max pairwise BFS distance + 1)`` tuples.
-        ``None`` → fall back to eager setup; :data:`_UNREACHABLE` or
-        more → provably no tree exists.
+        Without distance rows (reference core, tuple not interned) the
+        bound is ``len(required)``; :data:`_UNREACHABLE` or more proves
+        no tree exists.
         """
-        frozen = self._unit_cache(shard).frozen()
-        nodes = []
-        for tid in required:
-            node = frozen.node_of(tid)
-            if node is None:
-                return None
-            nodes.append((tid, node))
         bound = len(required)
-        for position, (tid, node) in enumerate(nodes[:-1]):
-            row_key = (shard, tid)
-            row = rows.get(row_key)
-            if row is None:
-                row = frozen.distances(node)
-                rows[row_key] = row
-            for __, other in nodes[position + 1:]:
-                if other >= len(row):
+        if self.core != "csr":
+            return bound
+        frozen = self._unit_cache(shard).frozen()
+        nodes = [frozen.node_of(tid) for tid in required]
+        if None in nodes:
+            return bound
+        for position, tid in enumerate(required[:-1]):
+            row = self._distance_row(frozen, shard, tid, rows)
+            for other in nodes[position + 1:]:
+                if other >= len(row) or row[other] >= _UNREACHABLE:
                     return _UNREACHABLE
-                distance = row[other]
-                if distance >= _UNREACHABLE:
-                    return _UNREACHABLE
-                if distance + 1 > bound:
-                    bound = distance + 1
+                bound = max(bound, row[other] + 1)
         return bound
 
-    def _note_adaptive(self, heap, pruned: int) -> None:
-        """Planner metrics for one adaptive heap build (metered runs).
+    def _note_heap(self, heap, pruned: int) -> None:
+        """Planner metrics for one pushdown heap build (metered runs).
 
         ``planner.reorders`` counts units whose drain rank differs from
-        their static plan position — how much the distance bounds
-        actually reshuffled enumeration; ``planner.pruned_units`` counts
-        units proven empty and never set up.
+        their plan position — how much the bounds actually reshuffled
+        enumeration; ``planner.pruned_units`` counts units proven empty
+        and never set up.
         """
         if not obs_metrics.ENABLED:
             return
@@ -865,23 +856,19 @@ class _PairState:
     heap — one entry per (source, target) tuple pair, merged by next
     path length — is only initialised once the singles are drained.
 
-    After an entry is consumed its stream re-enters the heap as a
-    *placeholder* carrying the consumed length (per-pair streams are
-    non-decreasing, so that length stays an admissible bound) and is
-    only re-peeked when it reaches the top again — enumeration never
-    runs one item past what the emitted results needed, so a budget
-    error beyond the top-k is never touched.
-
-    Under the adaptive planner (csr core) the heap is built without
-    pulling anything: each pair enters as a :data:`_LAZY` entry on its
-    BFS distance — an admissible lower bound on its first path length —
-    and its stream is only created when the entry reaches the top.
-    Pairs whose distance exceeds ``max_rdb_length`` (incl. disconnected
-    pairs) are provably empty and skipped outright.  Because every
-    bound is admissible and placeholder re-entry is unchanged, the
-    emitted answers, order and scores are bit-identical to the static
-    build — cheap pairs just reach the top (and the score lower bound)
-    without the expensive pairs ever running their first DFS.
+    The heap is built without pulling anything: each pair enters as a
+    :data:`_LAZY` entry on an admissible lower bound of its first path
+    length (see :meth:`Executor._unit_distance`), and its stream is only
+    created when the entry reaches the top.  Pairs whose bound exceeds
+    ``max_rdb_length`` (incl. disconnected pairs) are provably empty and
+    skipped outright.  After an entry is consumed its stream re-enters
+    the heap as a *placeholder* carrying the consumed length (per-pair
+    streams are non-decreasing, so that length stays an admissible
+    bound) and is only re-peeked when it reaches the top again —
+    enumeration never runs one item past what the emitted results
+    needed, so a budget error beyond the top-k is never touched.
+    Deferring a unit's first pull moves no budget error either: both
+    result budgets are >= 1, so a first item can never raise.
     """
 
     def __init__(self, executor: Executor, plan, op, ranker, limits) -> None:
@@ -906,60 +893,35 @@ class _PairState:
             from repro.scale.shards import CROSS_SHARD
 
             executor = self._executor
-            adaptive = executor.adaptive and executor.core == "csr"
-            limits = self._limits
+            budget = self._limits.max_rdb_length
             rows: dict = {}
             pruned = 0
             heap = []
             first, second = self._matches
-            index = 0
+            index = -1
             for source in first.tuple_ids:
                 for target in second.tuple_ids:
                     if source == target:
                         continue
-                    # Cross-shard pairs would enter the serial heap as
-                    # immediately-empty streams; skipping them (while
-                    # keeping the global pair index) changes nothing in
-                    # the heap's contents or tie-breaking.
+                    index += 1
+                    # Cross-shard pairs can yield nothing; skipping them
+                    # (while keeping the global pair index) changes
+                    # nothing in the heap's contents or tie-breaking.
                     shard = executor._unit_shard((source, target))
                     if shard is CROSS_SHARD:
                         executor.stats.shard_skips += 1
-                        index += 1
                         continue
-                    if adaptive:
-                        bound = executor._unit_distance(
-                            source, target, shard, rows
-                        )
-                        if bound is not None:
-                            if bound > limits.max_rdb_length:
-                                # No path fits the length budget: eager
-                                # setup would build a stream that yields
-                                # nothing (and can raise nothing).
-                                executor.stats.pruned += 1
-                                pruned += 1
-                                index += 1
-                                continue
-                            heap.append(
-                                (bound, index, _LAZY, (source, target, shard))
-                            )
-                            index += 1
-                            continue
-                    stream = iter(
-                        executor._path_stream(
-                            source,
-                            target,
-                            limits,
-                            cache=executor._unit_cache(shard),
-                        )
-                    )
-                    steps = next(stream, None)
-                    if steps is not None:
-                        heap.append((len(steps), index, steps, stream))
-                    index += 1
+                    bound = executor._unit_distance(source, target, shard, rows)
+                    if bound > budget:
+                        # No path fits the length budget: the stream
+                        # would yield nothing (and can raise nothing).
+                        executor.stats.pruned += 1
+                        pruned += 1
+                        continue
+                    heap.append((bound, index, _LAZY, (source, target, shard)))
             heapq.heapify(heap)
             self._heap = heap
-            if adaptive:
-                executor._note_adaptive(heap, pruned)
+            executor._note_heap(heap, pruned)
         return self._heap
 
     def bound(self) -> Optional[tuple]:
@@ -977,7 +939,7 @@ class _PairState:
             return answer, score
         heap = self._ensure_heap()
         length, index, steps, stream = heapq.heappop(heap)
-        if steps is _LAZY:  # adaptive: build the stream at first top
+        if steps is _LAZY:  # first time at the top: build the stream
             source, target, shard = stream
             executor = self._executor
             stream = iter(
@@ -988,13 +950,8 @@ class _PairState:
                     cache=executor._unit_cache(shard),
                 )
             )
-            steps = next(stream, None)
-            if steps is None:
-                return None
-            if len(steps) > length:
-                heapq.heappush(heap, (len(steps), index, steps, stream))
-                return None
-        elif steps is None:  # placeholder: re-peek the stream now
+            steps = None
+        if steps is None:  # placeholder or fresh stream: peek it now
             steps = next(stream, None)
             if steps is None:
                 return None
@@ -1017,16 +974,12 @@ class _NetworkState:
     One stream per keyword-tuple assignment (shared by required-tuple
     signature), heap-merged on the size of each stream's next tuple set;
     a network over ``s`` tuples has RDB length ``s - 1``, which drives
-    the bound.  Consumed streams re-enter as placeholders (see
+    the bound.  Assignments enter the heap lazily on an admissible size
+    bound (see :meth:`Executor._network_bound`) and grow their first
+    tree only when they reach the top; assignments whose bound exceeds
+    ``max_tuples`` (incl. tuples in different components) are provably
+    empty and skipped.  Consumed streams re-enter as placeholders (see
     :class:`_PairState`) so growth beyond the emitted top-k never runs.
-
-    Under the adaptive planner (csr core) assignments enter the heap
-    lazily on an admissible size bound — ``max(len(required), max
-    pairwise BFS distance + 1)`` — and grow their first tree only when
-    they reach the top; assignments whose bound exceeds ``max_tuples``
-    (incl. tuples in different components) are provably empty and
-    skipped.  Bit-identical to the static build for the same reason as
-    pair paths.
     """
 
     def __init__(self, executor: Executor, plan, op, ranker, limits) -> None:
@@ -1037,7 +990,6 @@ class _NetworkState:
         self._prefix = (-len(op.indices),) if self._coverage_major else ()
         from repro.scale.shards import CROSS_SHARD
 
-        adaptive = executor.adaptive and executor.core == "csr"
         rows: dict = {}
         pruned = 0
         self._seen: set[tuple] = set()
@@ -1049,32 +1001,18 @@ class _NetworkState:
             if shard is CROSS_SHARD:  # index keeps counting: tie-breaks stay global
                 executor.stats.shard_skips += 1
                 continue
-            if adaptive:
-                bound = executor._network_bound(required, shard, rows)
-                if bound is not None:
-                    if bound > limits.max_tuples:
-                        # Every joining tree over this assignment needs
-                        # more tuples than the budget allows (or spans
-                        # components): growth would yield nothing.
-                        executor.stats.pruned += 1
-                        pruned += 1
-                        continue
-                    heap.append(
-                        (bound, index, _LAZY, (required, shard), keyword_tuples)
-                    )
-                    continue
-            stream = iter(
-                executor._tree_stream(
-                    required, limits, cache=executor._unit_cache(shard)
-                )
-            )
-            tuple_set = next(stream, None)
-            if tuple_set is not None:
-                heap.append((len(tuple_set), index, tuple_set, stream, keyword_tuples))
+            bound = executor._network_bound(required, shard, rows)
+            if bound > limits.max_tuples:
+                # Every joining tree over this assignment needs more
+                # tuples than the budget allows (or spans components):
+                # growth would yield nothing.
+                executor.stats.pruned += 1
+                pruned += 1
+                continue
+            heap.append((bound, index, _LAZY, (required, shard), keyword_tuples))
         heapq.heapify(heap)
         self._heap = heap
-        if adaptive:
-            executor._note_adaptive(heap, pruned)
+        executor._note_heap(heap, pruned)
 
     def bound(self) -> Optional[tuple]:
         if not self._heap:
@@ -1083,7 +1021,7 @@ class _NetworkState:
 
     def pull(self) -> Optional[tuple]:
         size, index, tuple_set, stream, keyword_tuples = heapq.heappop(self._heap)
-        if tuple_set is _LAZY:  # adaptive: build the stream at first top
+        if tuple_set is _LAZY:  # first time at the top: build the stream
             required, shard = stream
             executor = self._executor
             stream = iter(
@@ -1091,16 +1029,8 @@ class _NetworkState:
                     required, self._limits, cache=executor._unit_cache(shard)
                 )
             )
-            tuple_set = next(stream, None)
-            if tuple_set is None:
-                return None
-            if len(tuple_set) > size:
-                heapq.heappush(
-                    self._heap,
-                    (len(tuple_set), index, tuple_set, stream, keyword_tuples),
-                )
-                return None
-        elif tuple_set is None:  # placeholder: re-peek the stream now
+            tuple_set = None
+        if tuple_set is None:  # placeholder or fresh stream: peek it now
             tuple_set = next(stream, None)
             if tuple_set is None:
                 return None

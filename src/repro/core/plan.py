@@ -140,8 +140,8 @@ class QueryPlan:
     cut: Cut
     #: Planner cost estimates aligned with ``sources`` by position
     #: (``repro.planner.cost.UnitEstimate``).  Advisory only: attached
-    #: post-hoc by an adaptive engine, empty under the static planner,
-    #: and never consulted for answer correctness.
+    #: post-hoc by the engine's cost model, empty on a plan fresh from
+    #: :func:`plan_query`, and never consulted for answer correctness.
     estimates: tuple = ()
 
     @property
@@ -200,8 +200,8 @@ class QueryPlan:
             lines.append(line)
         if self.estimates:
             lines.append(
-                "order      adaptive: pushdown drains units cheapest "
-                "distance bound first"
+                "order      pushdown drains units cheapest distance "
+                "bound first"
             )
         mode = "coverage-major" if self.merge.coverage_major else "score"
         lines.append(f"merge      {mode}")
@@ -227,11 +227,16 @@ def plan_query(
     populated keyword, pair paths for each populated pair, plus network
     growth when three or more keywords are populated; the merge becomes
     coverage-major.  Keywords without matches are simply dropped.
+
+    ``top_k=0`` plans an empty cut; a negative ``top_k`` is refused here,
+    the one step every entry point and execution mode passes through.
     """
     if semantics not in ("and", "or"):
         raise QueryError("semantics must be 'and' or 'or'", got=semantics)
     if not matches:
         raise QueryError("no keywords to plan")
+    if top_k is not None and top_k < 0:
+        raise QueryError("top_k must not be negative", got=top_k)
     matches = tuple(matches)
     keywords = tuple(match.keyword for match in matches)
     cut = Cut(top_k)

@@ -176,8 +176,8 @@ class SkewedWorkloadConfig:
     ``1/(rank+1)**skew``) and how *heavy* it is (match counts interpolate
     from ``max_matches`` at rank 0 down to ``min_matches`` at the coldest
     rank).  Popular keywords are therefore the expensive ones — the shape
-    where a static plan-order enumeration wastes the most work and a
-    cost-ordered one pays off.
+    where plan-order enumeration would waste the most work and the
+    bound-ordered pushdown heaps pay off.
     """
 
     queries: int = 20

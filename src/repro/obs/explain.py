@@ -108,8 +108,8 @@ class ExplainReport:
     def estimate_error(self) -> Optional[dict]:
         """Planner estimate vs. observed candidates for the analysed run.
 
-        Returns ``None`` when the plan carries no cost estimates (static
-        planning, or a plan with no sources).  Otherwise a dict with the
+        Returns ``None`` when the plan carries no cost estimates (a plan
+        with no sources).  Otherwise a dict with the
         summed ``est_candidates``, the observed ``stats.candidates``, the
         absolute error and the signed percentage error (positive means
         the planner over-estimated).
@@ -309,20 +309,15 @@ def analyze(
             "explain_analyze", query=query, semantics=semantics
         )
         try:
-            with trace_mod.span("plan.compile"):
-                plan, matches = engine._plan(query, top_k, semantics)
-            version = engine.version
-            executor = engine._executor()
-            results = executor.run(plan, ranker, limits, pushdown=pushdown)
+            key = engine._cache_key(
+                query, ranker, limits, top_k, semantics, pushdown
+            )
+            plan, results = engine._run_query(
+                query, ranker, limits, top_k, semantics, pushdown, key
+            )
         finally:
             trace_mod.end_trace(qtrace)
-        engine.last_stats = executor.stats
         engine.last_trace = qtrace
-        if getattr(engine, "adaptive", False):
-            engine._observe_run(plan, executor.stats)
-        key = engine._cache_key(query, ranker, limits, top_k, semantics, pushdown)
-        if key is not None and engine.version == version:
-            engine._cache_store(key, ranker, matches, results, executor.stats)
     finally:
         trace_mod.set_enabled(previous)
     exec_span = next(qtrace.find("executor.execute"), None)
@@ -335,7 +330,7 @@ def analyze(
         semantics=semantics,
         plan=plan,
         trace=qtrace,
-        stats=executor.stats,
+        stats=engine.last_stats,
         results=results,
         mode=mode,
         core=engine.core,

@@ -14,40 +14,18 @@ reality.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.plan import NetworkGrowth, PairPaths, QueryPlan, SingleScan
 
-#: Environment escape hatch: set to any truthy value to force the
-#: static planner everywhere, regardless of the ``adaptive`` flag.
-STATIC_PLAN_ENV = "REPRO_STATIC_PLAN"
-
 #: Fallback mean fan-out when no ``DatabaseStatistics`` is attached.
 DEFAULT_FANOUT = 2.0
-
-_FALSEY = frozenset({"", "0", "false", "no", "off"})
 
 # Calibration factors are clamped so one wild observation can never
 # invert the ordering of every future estimate.
 _FACTOR_FLOOR = 0.01
 _FACTOR_CEIL = 100.0
-
-
-def resolve_adaptive(flag: Optional[bool] = None) -> bool:
-    """Resolve the effective adaptive-planner switch.
-
-    ``REPRO_STATIC_PLAN`` (truthy) always wins and forces static mode;
-    otherwise an explicit ``flag`` is honoured; otherwise adaptive
-    planning is on by default.
-    """
-    env = os.environ.get(STATIC_PLAN_ENV, "")
-    if env.strip().lower() not in _FALSEY:
-        return False
-    if flag is None:
-        return True
-    return bool(flag)
 
 
 @dataclass(frozen=True, slots=True)

@@ -74,7 +74,6 @@ def _init_worker(
     core: Optional[str],
     shards: Optional[int],
     result_cache_entries: int,
-    adaptive: Optional[bool] = None,
 ):
     global _WORKER_ENGINE
     from repro.core.engine import KeywordSearchEngine
@@ -84,7 +83,6 @@ def _init_worker(
         core=core,
         shards=shards,
         result_cache_entries=result_cache_entries,
-        adaptive=adaptive,
     )
 
 
@@ -244,7 +242,6 @@ def _worker_loop(
     arena_name: Optional[str] = None,
     region_start: int = 0,
     region_size: int = 0,
-    adaptive: Optional[bool] = None,
 ) -> None:
     """One dedicated worker: open the snapshot once, serve chunks forever.
 
@@ -257,7 +254,7 @@ def _worker_loop(
     it instead.
     """
     try:
-        _init_worker(snapshot_path, core, shards, result_cache_entries, adaptive)
+        _init_worker(snapshot_path, core, shards, result_cache_entries)
     except BaseException as error:  # surface startup failures, don't hang
         connection.send(("crashed", repr(error)))
         return
@@ -279,9 +276,7 @@ def _worker_loop(
                 global _WORKER_ENGINE
                 old_engine = _WORKER_ENGINE
                 try:
-                    _init_worker(
-                        chunk[1], core, shards, result_cache_entries, adaptive
-                    )
+                    _init_worker(chunk[1], core, shards, result_cache_entries)
                 except BaseException as error:
                     connection.send(("reopen-failed", repr(error)))
                 else:
@@ -337,7 +332,6 @@ class ParallelSearcher:
         core: Optional[str] = None,
         shards: Optional[int] = None,
         result_cache_entries: int = 256,
-        adaptive: Optional[bool] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
@@ -346,11 +340,6 @@ class ParallelSearcher:
         self.core = core
         self.shards = shards
         self.result_cache_entries = result_cache_entries
-        #: Adaptive-planner flag every worker engine opens with, so a
-        #: coordinator running static (``REPRO_STATIC_PLAN`` travels via
-        #: the environment, ``adaptive=False`` via this field) never
-        #: pairs with adaptive workers.
-        self.adaptive = adaptive
         self._workers: Optional[list] = None
         self._arena = None
         self.shm_batches = 0
@@ -396,7 +385,6 @@ class ParallelSearcher:
                 arena.name if arena is not None else None,
                 index * self.region_bytes,
                 self.region_bytes,
-                self.adaptive,
             ),
             daemon=True,
         )
@@ -566,7 +554,6 @@ class ParallelSearcher:
                 core=self.core,
                 shards=self.shards,
                 result_cache_entries=self.result_cache_entries,
-                adaptive=self.adaptive,
             )
         return self._inline_engine
 
@@ -757,7 +744,7 @@ def _run_batch_traced(
         "observe": (tracing, metered),
     }
     costs = None
-    if getattr(engine, "adaptive", False) and len(pending) > 1 and jobs > 1:
+    if len(pending) > 1 and jobs > 1:
         # Cost-routed dispatch: one cheap posting-length estimate per
         # pending query balances the workers' predicted load.  Purely a
         # scheduling hint — outcomes are keyed by query, so results and

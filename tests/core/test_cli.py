@@ -89,6 +89,17 @@ class TestSearchCommand:
         assert code == 1
         assert "no answers" in output
 
+    @pytest.mark.parametrize("argv", [
+        ("",),
+        ("Smith XML", "--top", "-1"),
+        ("Smith XML", "--top", "-1", "--ranker", "ambiguity"),
+    ])
+    def test_malformed_query_exits_2(self, argv):
+        code, output = run("search", *argv)
+        assert code == 2
+        assert output.startswith("cannot search: ")
+        assert len(output.strip().splitlines()) == 1
+
     def test_max_rdb_bound(self):
         __, short = run("search", "Smith XML", "--max-rdb", "1")
         __, longer = run("search", "Smith XML", "--max-rdb", "3")

@@ -198,6 +198,25 @@ class TestPlanEntryPoint:
         with pytest.raises(QueryError):
             engine.plan("Smith XML", semantics="xor")
 
+    @pytest.mark.parametrize("entry", ["search", "search_stream", "search_batch"])
+    @pytest.mark.parametrize("pushdown", [None, False, True])
+    def test_negative_top_k_is_refused_in_every_mode(
+        self, engine, entry, pushdown
+    ):
+        from repro.errors import QueryError
+
+        run = {
+            "search": lambda k: engine.search(
+                "Smith XML", top_k=k, pushdown=pushdown),
+            "search_stream": lambda k: list(engine.search_stream(
+                "Smith XML", top_k=k, pushdown=pushdown)),
+            "search_batch": lambda k: engine.search_batch(
+                ["Smith XML"], top_k=k, pushdown=pushdown)[0],
+        }[entry]
+        with pytest.raises(QueryError, match="top_k"):
+            run(-1)
+        assert run(0) == []
+
     def test_last_stats_tracks_runs(self, engine):
         results = engine.search("Smith XML")
         assert engine.last_stats.emitted == len(results)

@@ -1,10 +1,11 @@
-"""Differential oracle: adaptive planning is answer-invisible.
+"""Differential oracle: bound-ordered pushdown is answer-invisible.
 
-The adaptive planner may only change *how hard* the engine works —
-enumeration order inside the pushdown heaps, provably-empty units
-skipped, batches routed by cost.  Every answer, score and rank must
-stay bit-identical to the static planner across cores, semantics,
-top-k cuts, shards, snapshot restore and the worker pool.
+The planner may only change *how hard* the engine works — enumeration
+order inside the pushdown heaps, provably-empty units skipped, batches
+routed by cost.  Every answer, score and rank of a top-k run must stay
+bit-identical to the first k answers of the full-mode ranked list on
+the ``reference`` core, across cores, semantics, top-k cuts, shards,
+snapshot restore and the worker pool.
 """
 
 from __future__ import annotations
@@ -24,6 +25,18 @@ _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=4)
 
 def snap(results):
     return [(r.render(), r.score, r.rank) for r in results]
+
+
+def full_first(engine, text, k, semantics="and"):
+    """The oracle: the first ``k`` answers of the full-mode ranked list."""
+    results = engine.search(text, limits=_LIMITS, semantics=semantics,
+                            pushdown=False)
+    return snap(results[:k])
+
+
+def kernel_units(engine) -> int:
+    cache = engine.traversal_cache
+    return cache.paths_enumerated + cache.trees_enumerated
 
 
 @pytest.fixture(scope="module")
@@ -47,95 +60,88 @@ def skewed():
     return database, [query.text for query in queries]
 
 
+@pytest.fixture(scope="module")
+def oracle(skewed):
+    database, __ = skewed
+    return KeywordSearchEngine(database, core="reference")
+
+
 @pytest.mark.parametrize("core", ["csr", "reference"])
 @pytest.mark.parametrize("semantics", ["and", "or"])
-def test_adaptive_matches_static_across_cores(skewed, core, semantics):
+def test_adaptive_matches_static_across_cores(skewed, oracle, core,
+                                              semantics):
     database, texts = skewed
-    adaptive = KeywordSearchEngine(database, core=core, adaptive=True)
-    static = KeywordSearchEngine(database, core=core, adaptive=False)
-    assert adaptive.adaptive and not static.adaptive
+    engine = KeywordSearchEngine(database, core=core)
     for text in texts[:4]:
         for top_k in (None, 3):
-            expected = snap(static.search(
-                text, limits=_LIMITS, top_k=top_k, semantics=semantics))
-            observed = snap(adaptive.search(
+            expected = full_first(oracle, text, top_k, semantics)
+            observed = snap(engine.search(
                 text, limits=_LIMITS, top_k=top_k, semantics=semantics))
             assert observed == expected
+        # Forced pushdown without a cut drains every heap to the end.
+        streamed = snap(engine.search(
+            text, limits=_LIMITS, semantics=semantics, pushdown=True))
+        assert streamed == full_first(oracle, text, None, semantics)
 
 
-def test_adaptive_matches_static_with_shards(skewed):
+def test_adaptive_matches_static_with_shards(skewed, oracle):
     database, texts = skewed
-    adaptive = KeywordSearchEngine(database, shards=3, adaptive=True)
-    static = KeywordSearchEngine(database, shards=3, adaptive=False)
+    sharded = KeywordSearchEngine(database, shards=3)
     for text in texts:
-        assert snap(adaptive.search(text, limits=_LIMITS, top_k=5)) == snap(
-            static.search(text, limits=_LIMITS, top_k=5))
+        assert snap(sharded.search(text, limits=_LIMITS, top_k=5)) \
+            == full_first(oracle, text, 5)
 
 
 def test_adaptive_prunes_and_enumerates_less(skewed):
     """The pushdown leg: fewer kernel enumerations, identical answers."""
     database, texts = skewed
-    adaptive = KeywordSearchEngine(database, adaptive=True)
-    static = KeywordSearchEngine(database, adaptive=False)
+    engine = KeywordSearchEngine(database)
     pruned = 0
+    topk_units = full_units = 0
     for text in texts:
-        expected = snap(static.search(text, limits=_LIMITS, top_k=2))
-        observed = snap(adaptive.search(text, limits=_LIMITS, top_k=2))
+        before = kernel_units(engine)
+        observed = snap(engine.search(text, limits=_LIMITS, top_k=2))
+        pruned += engine.last_stats.pruned
+        middle = kernel_units(engine)
+        expected = full_first(engine, text, 2)
+        topk_units += middle - before
+        full_units += kernel_units(engine) - middle
         assert observed == expected
-        pruned += adaptive.last_stats.pruned
     assert pruned > 0, "skewed workload should skip provably-empty units"
-    enumerated = (adaptive.traversal_cache.paths_enumerated
-                  + adaptive.traversal_cache.trees_enumerated)
-    baseline = (static.traversal_cache.paths_enumerated
-                + static.traversal_cache.trees_enumerated)
-    assert enumerated <= baseline
+    assert topk_units < full_units
 
 
 def test_adaptive_matches_static_through_snapshot(skewed, tmp_path):
     database, texts = skewed
-    origin = KeywordSearchEngine(database, adaptive=True)
+    origin = KeywordSearchEngine(database)
     for text in texts[:4]:
         origin.search(text, limits=_LIMITS, top_k=3)
     assert origin.calibration.updates > 0
     path = str(tmp_path / "skewed.snap")
     origin.save(path)
 
-    restored = KeywordSearchEngine.open(path, adaptive=True)
-    static = KeywordSearchEngine.open(path, adaptive=False)
+    restored = KeywordSearchEngine.open(path)
+    reference = KeywordSearchEngine.open(path, core="reference")
     try:
         for text in texts:
             assert snap(restored.search(text, limits=_LIMITS, top_k=3)) \
-                == snap(static.search(text, limits=_LIMITS, top_k=3))
+                == full_first(reference, text, 3)
     finally:
         restored.close()
-        static.close()
+        reference.close()
 
 
-def test_adaptive_matches_static_through_pool(skewed, tmp_path):
+def test_adaptive_matches_static_through_pool(skewed, oracle, tmp_path):
     database, texts = skewed
     origin = KeywordSearchEngine(database)
     origin.save(str(tmp_path / "pool.snap"))
-    adaptive = KeywordSearchEngine.open(str(tmp_path / "pool.snap"),
-                                        adaptive=True)
-    static = KeywordSearchEngine.open(str(tmp_path / "pool.snap"),
-                                      adaptive=False)
+    pooled = KeywordSearchEngine.open(str(tmp_path / "pool.snap"))
     try:
         batch = texts[:6]
-        expected = static.search_batch(batch, limits=_LIMITS, top_k=3)
-        observed = adaptive.search_batch(batch, limits=_LIMITS, top_k=3,
-                                         jobs=2)
-        assert [snap(results) for results in observed] \
-            == [snap(results) for results in expected]
+        expected = [full_first(oracle, text, 3) for text in batch]
+        observed = pooled.search_batch(batch, limits=_LIMITS, top_k=3,
+                                       jobs=2)
+        assert [snap(results) for results in observed] == expected
     finally:
-        adaptive.close_pool()
-        adaptive.close()
-        static.close()
-
-
-def test_env_escape_hatch_freezes_the_process(skewed, monkeypatch):
-    database, __ = skewed
-    monkeypatch.setenv("REPRO_STATIC_PLAN", "1")
-    engine = KeywordSearchEngine(database, adaptive=True)
-    assert engine.adaptive is False
-    plan, __ = engine._plan("sk1 sk2", None, "and")
-    assert plan.estimates == ()
+        pooled.close_pool()
+        pooled.close()

@@ -10,8 +10,8 @@ from repro.relational.statistics import DatabaseStatistics
 
 @pytest.fixture
 def warmed(company_db):
-    """An adaptive engine that has observed a few runs."""
-    engine = KeywordSearchEngine(company_db, adaptive=True)
+    """An engine that has observed a few runs."""
+    engine = KeywordSearchEngine(company_db)
     for query in ("Smith XML", "Brown CS", "Smith Brown XML"):
         engine.search(query, top_k=3)
     assert engine.calibration.updates > 0
@@ -78,9 +78,3 @@ def test_statistics_dict_roundtrip_keeps_calibration(company_db):
     bare = DatabaseStatistics(company_db).to_dict()
     assert "calibration" not in bare
     assert DatabaseStatistics.from_dict(company_db, bare).calibration == {}
-
-
-def test_static_engine_does_not_calibrate(company_db):
-    engine = KeywordSearchEngine(company_db, adaptive=False)
-    engine.search("Smith XML", top_k=3)
-    assert engine.calibration.updates == 0

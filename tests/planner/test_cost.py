@@ -7,43 +7,10 @@ import pytest
 from repro.core.engine import KeywordSearchEngine
 from repro.planner import (
     DEFAULT_FANOUT,
-    STATIC_PLAN_ENV,
     CalibrationTable,
     CostModel,
     UnitEstimate,
-    resolve_adaptive,
 )
-
-
-class TestResolveAdaptive:
-    def test_default_is_adaptive(self, monkeypatch):
-        monkeypatch.delenv(STATIC_PLAN_ENV, raising=False)
-        assert resolve_adaptive() is True
-        assert resolve_adaptive(None) is True
-
-    def test_explicit_flag_wins_over_default(self, monkeypatch):
-        monkeypatch.delenv(STATIC_PLAN_ENV, raising=False)
-        assert resolve_adaptive(False) is False
-        assert resolve_adaptive(True) is True
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "anything"])
-    def test_env_forces_static(self, monkeypatch, value):
-        monkeypatch.setenv(STATIC_PLAN_ENV, value)
-        assert resolve_adaptive() is False
-        assert resolve_adaptive(True) is False
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "no", "off", " OFF "])
-    def test_falsey_env_is_ignored(self, monkeypatch, value):
-        monkeypatch.setenv(STATIC_PLAN_ENV, value)
-        assert resolve_adaptive() is True
-        assert resolve_adaptive(False) is False
-
-    def test_engine_honours_env(self, monkeypatch, company_db):
-        monkeypatch.setenv(STATIC_PLAN_ENV, "1")
-        engine = KeywordSearchEngine(company_db)
-        assert engine.adaptive is False
-        monkeypatch.delenv(STATIC_PLAN_ENV)
-        assert KeywordSearchEngine(company_db).adaptive is True
 
 
 class TestCalibrationTable:

@@ -92,7 +92,7 @@ class TestBatchRouting:
     def test_pool_batch_records_cost_assignment(self, company_db, tmp_path):
         path = str(tmp_path / "route.snap")
         KeywordSearchEngine(company_db).save(path)
-        engine = KeywordSearchEngine.open(path, adaptive=True)
+        engine = KeywordSearchEngine.open(path)
         queries = ["Smith XML", "Brown CS", "Smith Brown", "Research Smith"]
         try:
             engine.search_batch(queries, top_k=3, jobs=2)

@@ -2,9 +2,10 @@
 
 The calibration table biases cost *estimates* — ordering and routing
 inputs only.  Hypothesis injects arbitrary (even wildly wrong)
-observations into an adaptive engine's table and checks that every
-answer, score and rank stays bit-identical to a pristine static engine,
-with and without a top-k cut, under both semantics.
+observations into an engine's table and checks that every answer,
+score and rank stays bit-identical to the first k answers of a
+pristine ``reference``-core engine's full-mode list, with and without
+a top-k cut, under both semantics.
 """
 
 from __future__ import annotations
@@ -67,16 +68,16 @@ observations = st.lists(
 )
 def test_calibration_never_changes_answers(seed, injected, semantics, top_k):
     database = _database(seed)
-    static = KeywordSearchEngine(database, adaptive=False)
-    adaptive = KeywordSearchEngine(database, adaptive=True)
+    reference = KeywordSearchEngine(database, core="reference")
+    engine = KeywordSearchEngine(database)
     for kind, predicted, observed in injected:
-        adaptive.calibration.observe(kind, predicted, observed)
+        engine.calibration.observe(kind, predicted, observed)
     for query in _QUERIES:
-        expected = _snap(static.search(
+        full = reference.search(
+            query, limits=_LIMITS, semantics=semantics, pushdown=False)
+        observed_results = _snap(engine.search(
             query, limits=_LIMITS, top_k=top_k, semantics=semantics))
-        observed_results = _snap(adaptive.search(
-            query, limits=_LIMITS, top_k=top_k, semantics=semantics))
-        assert observed_results == expected
+        assert observed_results == _snap(full[:top_k])
 
 
 @settings(max_examples=10, deadline=None,
@@ -88,7 +89,7 @@ def test_calibration_never_changes_answers(seed, injected, semantics, top_k):
 def test_calibration_never_changes_query_cost_validity(seed, injected):
     """query_cost stays finite and positive under any calibration."""
     database = _database(seed)
-    engine = KeywordSearchEngine(database, adaptive=True)
+    engine = KeywordSearchEngine(database)
     for kind, predicted, observed in injected:
         engine.calibration.observe(kind, predicted, observed)
     for query in _QUERIES:
